@@ -19,6 +19,7 @@ from .divisor_sums import (
     divisors,
     sigma,
     sigma_class,
+    sigma_combination,
     sigma_even,
     sigma_odd,
     sigma_scaled,

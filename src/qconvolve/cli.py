@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .counts import r_oracle, r_table, t_oracle, t_table, u_oracle, u_table
@@ -87,17 +86,6 @@ _RANGE_RUNNERS = {
 IDENTITIES = sorted(set(_RANGE_DEFAULTS) | set(_ORDER_DEFAULTS))
 
 
-def _workers() -> int:
-    raw = os.environ.get("QCONVOLVE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"QCONVOLVE_THREADS must be an integer, got {raw!r}") from None
-    return max(1, value)
-
-
 def _emit_values(values, fmt: str, meta: dict) -> None:
     if fmt == "csv":
         print("n,value")
@@ -144,6 +132,8 @@ def _closed_table(kind: str, k: int, order: int) -> list[int]:
 
 def _cmd_counts(args) -> int:
     kind, k, l, order = args.kind, args.k, args.l, args.order
+    if order < 0:
+        raise ValueError(f"-N must be >= 0, got {order}")
     if kind == "u":
         if l is None:
             raise ValueError("kind u requires --l")
@@ -176,21 +166,22 @@ def _cmd_verify(args) -> int:
         fn = _SINGLE_INPUT.get(name)
         if fn is None:
             raise ValueError(f"identity {name!r} takes a range, not --input")
-        report = fn(args.input)
-    elif name == "master-positivity":
-        order = args.order if args.order is not None else _ORDER_DEFAULTS[name]
-        report = verify_master_positivity(order=order, workers=_workers())
-    elif name == "series1-positivity":
-        order = args.order if args.order is not None else _ORDER_DEFAULTS[name]
-        report = verify_series1_positivity(order)
-    elif name == "oracle-equivalence":
-        order = args.order if args.order is not None else _ORDER_DEFAULTS[name]
-        report = verify_oracle_equivalence(
-            count=args.count, order=order, seed=args.seed, workers=_workers()
-        )
-    else:
+        report, span = fn(args.input), f"--input {args.input}"
+    elif name in _RANGE_DEFAULTS:
         limit = args.max if args.max is not None else _RANGE_DEFAULTS[name]
-        report = _RANGE_RUNNERS[name](limit)
+        report, span = _RANGE_RUNNERS[name](limit), f"--max {limit}"
+    else:
+        order = args.order if args.order is not None else _ORDER_DEFAULTS[name]
+        span = f"-N {order}"
+        if name == "master-positivity":
+            report = verify_master_positivity(order=order)
+        elif name == "series1-positivity":
+            report = verify_series1_positivity(order)
+        else:
+            report = verify_oracle_equivalence(count=args.count, order=order, seed=args.seed)
+            span = f"--count {args.count}"
+    if not report.inputs_checked:
+        raise ValueError(f"{name} checked no inputs for {span}")
     _emit_report(report, args.format)
     return 0 if report.passed else 1
 

@@ -3,9 +3,10 @@
 r_k(n) counts ordered integer k-tuples of squares summing to n, t_k(n)
 ordered k-tuples of triangular numbers, and u_{k,l}(n) mixed sums of k
 squares plus l triangular numbers.  Each table is computed two independent
-ways: a divisor-sum recursion (n times the count is a convolution against a
-fixed divisor-sum combination) and a convolution-power oracle built from the
-k = 1 indicator tables.
+ways.  The tables expand an eta quotient, a product of (q^m;q^m)^c factors,
+with series.expand, whose recursion weight is the paper's divisor-sum
+combination (squares_weight, triangular_weight, mixed_weight).  The oracles
+take convolution powers of the k = 1 indicator tables with series.multiply.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .divisor_sums import sigma, sigma_scaled, sigma_star, sigma_star_scaled
-from .errors import checked_div
+from .series import PowerSeries, ProductSpec, expand, multiply
 
 
 @dataclass(frozen=True)
@@ -59,46 +60,46 @@ def mixed_weight(m: int, k: int, l: int) -> int:
     )
 
 
-def _weighted_recursion(order: int, weights: list[int], multiplier: int) -> tuple[int, ...]:
-    # n * g(n) = multiplier * sum_{j=0}^{n-1} g(j) * weights[n-j], g(0) = 1.
-    values = [0] * (order + 1)
-    values[0] = 1
-    for n in range(1, order + 1):
-        acc = 0
-        for j in range(n):
-            w = weights[n - j]
-            if w:
-                acc += values[j] * w
-        values[n] = checked_div(multiplier * acc, n)
-    return tuple(values)
+def r_spec(k: int) -> ProductSpec:
+    """theta^k = (q^2;q^2)^5k / ((q;q)^2k (q^4;q^4)^2k); weight 2k squares_weight."""
+    return ProductSpec.parse(f"1n^{-2 * k},2n^{5 * k},4n^{-2 * k}")
+
+
+def t_spec(k: int) -> ProductSpec:
+    """psi^k = (q^2;q^2)^2k / (q;q)^k; weight k triangular_weight."""
+    return ProductSpec.parse(f"1n^{-k},2n^{2 * k}")
+
+
+def u_spec(k: int, l: int) -> ProductSpec:
+    """theta^k psi^l as one eta quotient; weight mixed_weight(., k, l)."""
+    return ProductSpec.parse(f"1n^{-(2 * k + l)},2n^{5 * k + 2 * l},4n^{-2 * k}")
 
 
 def r_table(k: int, order: int) -> CountTable:
     """Counts of n as an ordered sum of k integer squares, n = 0..order."""
     if k < 1:
         raise ValueError(f"r_table requires k >= 1, got {k}")
-    weights = [0] + [squares_weight(m) for m in range(1, order + 1)]
-    return CountTable("squares", k, None, _weighted_recursion(order, weights, 2 * k))
+    return CountTable("squares", k, None, expand(r_spec(k), order).coeffs)
 
 
 def t_table(k: int, order: int) -> CountTable:
     """Counts of n as an ordered sum of k triangular numbers."""
     if k < 1:
         raise ValueError(f"t_table requires k >= 1, got {k}")
-    weights = [0] + [triangular_weight(m) for m in range(1, order + 1)]
-    return CountTable("triangular", k, None, _weighted_recursion(order, weights, k))
+    return CountTable("triangular", k, None, expand(t_spec(k), order).coeffs)
 
 
 def u_table(k: int, l: int, order: int) -> CountTable:
     """Counts of n as k squares plus l triangular numbers, both ordered."""
     if k < 1 or l < 1:
         raise ValueError(f"u_table requires k, l >= 1, got k={k}, l={l}")
-    weights = [0] + [mixed_weight(m, k, l) for m in range(1, order + 1)]
-    return CountTable("mixed", k, l, _weighted_recursion(order, weights, 1))
+    return CountTable("mixed", k, l, expand(u_spec(k, l), order).coeffs)
 
 
 def square_base(order: int) -> list[int]:
     """r_1: 1 at 0, 2 at each positive perfect square."""
+    if order < 0:
+        raise ValueError(f"square_base requires order >= 0, got {order}")
     base = [0] * (order + 1)
     base[0] = 1
     for a in range(1, isqrt(order) + 1):
@@ -108,6 +109,8 @@ def square_base(order: int) -> list[int]:
 
 def triangular_base(order: int) -> list[int]:
     """t_1: indicator of the triangular numbers y(y+1)/2."""
+    if order < 0:
+        raise ValueError(f"triangular_base requires order >= 0, got {order}")
     base = [0] * (order + 1)
     y = 0
     while y * (y + 1) // 2 <= order:
@@ -116,47 +119,31 @@ def triangular_base(order: int) -> list[int]:
     return base
 
 
-def _convolve(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for j, bj in enumerate(b[: order + 1]):
-        if not bj:
-            continue
-        for i in range(order - j + 1):
-            ai = a[i]
-            if ai:
-                out[i + j] += ai * bj
-    return out
-
-
-def _convolution_power(base: list[int], k: int, order: int) -> list[int]:
-    out = [1] + [0] * order
-    for _ in range(k):
-        out = _convolve(out, base, order)
-    return out
+def _convolution_power(base: list[int], k: int) -> PowerSeries:
+    power = base = PowerSeries(tuple(base))
+    for _ in range(k - 1):
+        power = multiply(power, base)
+    return power
 
 
 def r_oracle(k: int, order: int) -> CountTable:
     """r_table oracle: k-th convolution power of the square indicator."""
     if k < 1:
         raise ValueError(f"r_oracle requires k >= 1, got {k}")
-    return CountTable(
-        "squares", k, None, tuple(_convolution_power(square_base(order), k, order))
-    )
+    return CountTable("squares", k, None, _convolution_power(square_base(order), k).coeffs)
 
 
 def t_oracle(k: int, order: int) -> CountTable:
     """t_table oracle: k-th convolution power of the triangular indicator."""
     if k < 1:
         raise ValueError(f"t_oracle requires k >= 1, got {k}")
-    return CountTable(
-        "triangular", k, None, tuple(_convolution_power(triangular_base(order), k, order))
-    )
+    return CountTable("triangular", k, None, _convolution_power(triangular_base(order), k).coeffs)
 
 
 def u_oracle(k: int, l: int, order: int) -> CountTable:
     """u_table oracle: product of the square and triangular power tables."""
     if k < 1 or l < 1:
         raise ValueError(f"u_oracle requires k, l >= 1, got k={k}, l={l}")
-    squares = _convolution_power(square_base(order), k, order)
-    triangulars = _convolution_power(triangular_base(order), l, order)
-    return CountTable("mixed", k, l, tuple(_convolve(squares, triangulars, order)))
+    squares = _convolution_power(square_base(order), k)
+    triangulars = _convolution_power(triangular_base(order), l)
+    return CountTable("mixed", k, l, multiply(squares, triangulars).coeffs)

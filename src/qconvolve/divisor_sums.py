@@ -5,9 +5,9 @@ is 0, so sigma(n/m) contributes only when m divides n.  Two edge conventions
 differ on purpose: sigma(0) = 1, while sigma_star(0) = 0 (the odd-cofactor
 sum is supported on positive integers only).
 
-Every function is a pure function of its arguments, computed by trial
-division up to sqrt(n); callers needing bulk values can wrap them in a cache
-or use sigma_table.
+Every scalar function is a pure function of its arguments, computed by
+trial division up to sqrt(n).  Bulk values come from one divisor sieve:
+sigma_table, and sigma_combination for sums of scaled sigma terms.
 """
 
 from __future__ import annotations
@@ -117,3 +117,17 @@ def sigma_table(limit: int) -> list[int]:
             table[multiple] += d
     table[0] = 1
     return table
+
+
+def sigma_combination(limit: int, terms) -> list[int]:
+    """Sum of c * sigma(n/m) over the (c, m) terms, for n = 0..limit.
+
+    Index 0 is 0.  Every term reads the same sigma_table; sigma(n/m)
+    contributes only when m divides n.
+    """
+    table = sigma_table(limit)
+    out = [0] * (limit + 1)
+    for c, m in terms:
+        for q in range(1, limit // m + 1):
+            out[q * m] += c * table[q]
+    return out

@@ -1,27 +1,20 @@
 """Closed-form count evaluators, identity verifiers, and positivity checkers.
 
 The verifiers recompute both sides of each identity from independent
-ingredients: count values come from the convolution-power oracles and
-divisor sums from trial division, never from the recursion under test.
+ingredients, never from the recursion under test: count values come from
+the convolution-power oracles, and the divisor-sum combinations from one
+sigma sieve (divisor_sums.sigma_combination).
 Failures are collected in reports rather than raised, so a full range can
 be surveyed in one pass.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .counts import r_oracle, t_oracle
-from .divisor_sums import (
-    divisors,
-    sigma,
-    sigma_scaled,
-    sigma_star,
-    sigma_star_scaled,
-    sigma_table,
-)
+from .divisor_sums import divisors, sigma, sigma_combination, sigma_scaled
 from .errors import DivisibilityViolation, NotPrime, PreconditionNotMet, checked_div
 from .series import (
     Factor,
@@ -179,13 +172,15 @@ def t6_closed(n: int) -> int:
 
 # --- verifier ingredients ---
 
-
-def _squares_weights(limit: int) -> list[int]:
-    return [0] + [sigma_star(m) - 4 * sigma_star_scaled(m, 2) for m in range(1, limit + 1)]
-
-
-def _triangular_weights(limit: int) -> list[int]:
-    return [0] + [sigma(m) - 4 * sigma_scaled(m, 2) for m in range(1, limit + 1)]
+# (c, m) terms of sum c * sigma(n/m), for divisor_sums.sigma_combination.
+# sigma*(m) - 4 sigma*(m/2), the r_k recursion weight:
+_SQUARES_TERMS = ((1, 1), (-5, 2), (4, 4))
+# sigma(m) - 4 sigma(m/2), the t_k recursion weight:
+_TRIANGULAR_TERMS = ((1, 1), (-4, 2))
+# sigma(m) - 4 sigma(m/4), r_4 / 8:
+_R4_TERMS = ((1, 1), (-4, 4))
+# R_combination:
+_R_TERMS = ((4, 1), (-4, 2), (8, 4), (-32, 8))
 
 
 def _conv_sum(values, weights, n: int, start: int = 1) -> int:
@@ -208,8 +203,8 @@ def verify_convolution(max_n: int) -> VerificationReport:
     if max_n < 1:
         raise ValueError(f"verify_convolution requires max_n >= 1, got {max_n}")
     report = VerificationReport("convolution")
-    h4 = [0] + [sigma(m) - 4 * sigma_scaled(m, 4) for m in range(1, max_n + 1)]
-    g = _squares_weights(max_n)
+    h4 = sigma_combination(max_n, _R4_TERMS)
+    g = sigma_combination(max_n, _SQUARES_TERMS)
     for n in range(1, max_n + 1):
         report.mark(n)
         lhs = 8 * _conv_sum(h4, g, n)
@@ -218,11 +213,10 @@ def verify_convolution(max_n: int) -> VerificationReport:
 
 
 # --- prime sums against r_2, r_4, r_8 ---
-
-
-def _check_prime_r2(report, p, r2, g):
-    s = _conv_sum(r2, g, p)
-    report.expect(p, s, p - 1 if p % 4 == 1 else -p - 1)
+#
+# Each single-input verifier below checks its precondition and runs a core
+# over [input]; the range verifier runs the same core over every qualifying
+# input below the limit.  A core's tables hold indices 0..size.
 
 
 def _check_twin_r2(report, p, r2, g):
@@ -234,6 +228,19 @@ def _check_twin_r2(report, p, r2, g):
     report.expect(p, s_next, expected)
 
 
+def _prime_r2(primes, size: int) -> VerificationReport:
+    # The twin check at p reads indices up to p + 1, so size > max(primes).
+    report = VerificationReport("prime-r2")
+    r2 = r_oracle(2, size).values
+    g = sigma_combination(size, _SQUARES_TERMS)
+    for p in primes:
+        report.mark(p)
+        report.expect(p, _conv_sum(r2, g, p), p - 1 if p % 4 == 1 else -p - 1)
+        if is_prime(p + 2):
+            _check_twin_r2(report, p, r2, g)
+    return report
+
+
 def verify_prime_r2(p: int) -> VerificationReport:
     """Sum of r_2(j) (sigma*(p-j) - 4 sigma*((p-j)/2)) equals p-1 or -p-1.
 
@@ -241,42 +248,27 @@ def verify_prime_r2(p: int) -> VerificationReport:
     corollary is checked as well.
     """
     _require_odd_prime(p)
-    report = VerificationReport("prime-r2")
-    r2 = r_oracle(2, p + 1).values
-    g = _squares_weights(p + 1)
-    report.mark(p)
-    _check_prime_r2(report, p, r2, g)
-    if is_prime(p + 2):
-        _check_twin_r2(report, p, r2, g)
-    return report
+    return _prime_r2([p], p + 1)
 
 
 def verify_prime_r2_range(limit: int) -> VerificationReport:
     """verify_prime_r2 over all odd primes < limit, twins included."""
-    report = VerificationReport("prime-r2")
-    r2 = r_oracle(2, limit).values
-    g = _squares_weights(limit)
-    primes = primes_below(limit)
-    prime_set = set(primes)
+    return _prime_r2([p for p in primes_below(limit) if p != 2], limit)
+
+
+def _prime_r4_r8(primes, size: int) -> VerificationReport:
+    report = VerificationReport("prime-r4r8")
+    r2, r4, r8 = (r_oracle(k, size).values for k in (2, 4, 8))
+    g = sigma_combination(size, _SQUARES_TERMS)
     for p in primes:
-        if p == 2:
-            continue
         report.mark(p)
-        _check_prime_r2(report, p, r2, g)
-        if p + 2 in prime_set:
-            _check_twin_r2(report, p, r2, g)
+        s2, s4, s8 = (_conv_sum(r, g, p) for r in (r2, r4, r8))
+        report.expect(p, s4, p * p - 1)
+        report.expect(p, s8, p ** 4 - 1)
+        # Squares-of-sums corollary ties the three prime sums together.
+        report.expect(p, (1 + s2) ** 2, 1 + s4)
+        report.expect(p, (1 + s4) ** 2, 1 + s8)
     return report
-
-
-def _check_prime_r4_r8(report, p, r2, r4, r8, g):
-    s2 = _conv_sum(r2, g, p)
-    s4 = _conv_sum(r4, g, p)
-    s8 = _conv_sum(r8, g, p)
-    report.expect(p, s4, p * p - 1)
-    report.expect(p, s8, p ** 4 - 1)
-    # Squares-of-sums corollary ties the three prime sums together.
-    report.expect(p, (1 + s2) ** 2, 1 + s4)
-    report.expect(p, (1 + s4) ** 2, 1 + s8)
 
 
 def verify_prime_r4_r8(p: int) -> VerificationReport:
@@ -287,32 +279,33 @@ def verify_prime_r4_r8(p: int) -> VerificationReport:
     the statement is made for odd primes only.
     """
     _require_odd_prime(p)
-    report = VerificationReport("prime-r4r8")
-    r2 = r_oracle(2, p - 1).values
-    r4 = r_oracle(4, p - 1).values
-    r8 = r_oracle(8, p - 1).values
-    g = _squares_weights(p - 1)
-    report.mark(p)
-    _check_prime_r4_r8(report, p, r2, r4, r8, g)
-    return report
+    return _prime_r4_r8([p], p - 1)
 
 
 def verify_prime_r4_r8_range(limit: int) -> VerificationReport:
     """verify_prime_r4_r8 over all odd primes < limit."""
-    report = VerificationReport("prime-r4r8")
-    r2 = r_oracle(2, limit).values
-    r4 = r_oracle(4, limit).values
-    r8 = r_oracle(8, limit).values
-    g = _squares_weights(limit)
-    for p in primes_below(limit):
-        if p == 2:
-            continue
-        report.mark(p)
-        _check_prime_r4_r8(report, p, r2, r4, r8, g)
-    return report
+    return _prime_r4_r8([p for p in primes_below(limit) if p != 2], limit)
 
 
 # --- prime sums against t_2, t_4, t_6 ---
+
+# k -> (identity, first index j of the sum, value the sum takes at n)
+_T_PRIME_SUMS = {
+    2: ("t2-prime", 1, lambda p: -1),
+    4: ("t4-prime", 0, lambda n: n * (n + 1) // 2),
+    6: ("t6-prime", 0, lambda n: n * (n + 1) * (2 * n + 1) // 6),
+}
+
+
+def _t_prime_sums(k: int, inputs, size: int) -> VerificationReport:
+    identity, start, value = _T_PRIME_SUMS[k]
+    report = VerificationReport(identity)
+    tk = t_oracle(k, size).values
+    h = sigma_combination(size, _TRIANGULAR_TERMS)
+    for n in inputs:
+        report.mark(n)
+        report.expect(n, _conv_sum(tk, h, n, start), value(n))
+    return report
 
 
 def verify_t2_prime(p: int) -> VerificationReport:
@@ -323,25 +316,12 @@ def verify_t2_prime(p: int) -> VerificationReport:
     _require_prime(p)
     if not is_prime(4 * p + 1):
         raise PreconditionNotMet(f"4p + 1 = {4 * p + 1} is not prime")
-    report = VerificationReport("t2-prime")
-    t2 = t_oracle(2, p - 1).values  # p >= 3 here: p = 2 fails the 4p+1 test
-    h = _triangular_weights(p - 1)
-    report.mark(p)
-    report.expect(p, _conv_sum(t2, h, p), -1)
-    return report
+    return _t_prime_sums(2, [p], p - 1)
 
 
 def verify_t2_prime_range(limit: int) -> VerificationReport:
     """verify_t2_prime over all p < limit with p and 4p + 1 prime."""
-    report = VerificationReport("t2-prime")
-    t2 = t_oracle(2, limit).values
-    h = _triangular_weights(limit)
-    for p in primes_below(limit):
-        if not is_prime(4 * p + 1):
-            continue
-        report.mark(p)
-        report.expect(p, _conv_sum(t2, h, p), -1)
-    return report
+    return _t_prime_sums(2, [p for p in primes_below(limit) if is_prime(4 * p + 1)], limit)
 
 
 def verify_t4(n: int) -> VerificationReport:
@@ -351,54 +331,27 @@ def verify_t4(n: int) -> VerificationReport:
     """
     if not is_prime(2 * n + 1):
         raise PreconditionNotMet(f"2n + 1 = {2 * n + 1} is not prime")
-    report = VerificationReport("t4-prime")
-    t4 = t_oracle(4, n - 1).values  # n >= 1 here: 2*0 + 1 is not prime
-    h = _triangular_weights(n)
-    report.mark(n)
-    report.expect(n, _conv_sum(t4, h, n, start=0), n * (n + 1) // 2)
-    return report
+    return _t_prime_sums(4, [n], n)
 
 
 def verify_t4_range(limit: int) -> VerificationReport:
     """verify_t4 over all n < limit with 2n + 1 prime."""
-    report = VerificationReport("t4-prime")
-    t4 = t_oracle(4, limit).values
-    h = _triangular_weights(limit)
-    for n in range(1, limit):
-        if not is_prime(2 * n + 1):
-            continue
-        report.mark(n)
-        report.expect(n, _conv_sum(t4, h, n, start=0), n * (n + 1) // 2)
-    return report
+    return _t_prime_sums(4, [n for n in range(1, limit) if is_prime(2 * n + 1)], limit)
 
 
 def verify_t6(n: int) -> VerificationReport:
     """Sum from j=0 of t_6(j) (sigma(n-j) - 4 sigma((n-j)/2)) equals n(n+1)(2n+1)/6.
 
-    Requires 4n + 3 prime.
+    Requires 4n + 3 prime; n = 0 qualifies and checks the empty sum.
     """
     if not is_prime(4 * n + 3):
         raise PreconditionNotMet(f"4n + 3 = {4 * n + 3} is not prime")
-    report = VerificationReport("t6-prime")
-    # n = 0 is valid (4n + 3 = 3 is prime) and checks the empty sum.
-    t6 = t_oracle(6, n - 1).values if n >= 1 else (1,)
-    h = _triangular_weights(n)
-    report.mark(n)
-    report.expect(n, _conv_sum(t6, h, n, start=0), n * (n + 1) * (2 * n + 1) // 6)
-    return report
+    return _t_prime_sums(6, [n], n)
 
 
 def verify_t6_range(limit: int) -> VerificationReport:
     """verify_t6 over all n < limit with 4n + 3 prime."""
-    report = VerificationReport("t6-prime")
-    t6 = t_oracle(6, limit).values
-    h = _triangular_weights(limit)
-    for n in range(limit):  # n = 0 qualifies: 4n + 3 = 3 is prime
-        if not is_prime(4 * n + 3):
-            continue
-        report.mark(n)
-        report.expect(n, _conv_sum(t6, h, n, start=0), n * (n + 1) * (2 * n + 1) // 6)
-    return report
+    return _t_prime_sums(6, [n for n in range(limit) if is_prime(4 * n + 3)], limit)
 
 
 # --- positivity ---
@@ -421,18 +374,13 @@ def verify_R_positive(limit: int) -> VerificationReport:
     if limit < 1:
         raise ValueError(f"verify_R_positive requires limit >= 1, got {limit}")
     report = VerificationReport("R-positive")
-    table = sigma_table(limit)
+    values = sigma_combination(limit, _R_TERMS)
+    # Filled only after sigma_combination has freed its sieve table, so that
+    # at most two lists of limit ints are alive at once.
     report.inputs_checked.extend(range(1, limit + 1))
     for n in range(1, limit + 1):
-        value = 4 * table[n]
-        if n % 2 == 0:
-            value -= 4 * table[n // 2]
-        if n % 4 == 0:
-            value += 8 * table[n // 4]
-        if n % 8 == 0:
-            value -= 32 * table[n // 8]
-        if value <= 0:
-            report.failures.append(Failure(n, str(value), ">0"))
+        if values[n] <= 0:
+            report.failures.append(Failure(n, str(values[n]), ">0"))
     return report
 
 
@@ -515,18 +463,10 @@ def master_positivity_cases(
     return cases
 
 
-def _map_ordered(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def verify_master_positivity(
     order: int = 300,
     a_values=(1, 2, 3),
     b_values=(2, 3, 4, 5),
-    workers: int = 1,
 ) -> VerificationReport:
     """Positivity of the whole family over the parameter grid, both readings.
 
@@ -534,15 +474,10 @@ def verify_master_positivity(
     parameter combination in the expected-value text.
     """
     report = VerificationReport("master-positivity")
-    cases = master_positivity_cases(a_values, b_values)
-    results = _map_ordered(
-        lambda params: verify_positivity(
+    for index, params in enumerate(master_positivity_cases(a_values, b_values)):
+        sub = verify_positivity(
             master_family_spec(params), order, "master-positivity", params.describe()
-        ),
-        cases,
-        workers,
-    )
-    for index, sub in enumerate(results):
+        )
         report.mark(index)
         report.failures.extend(sub.failures)
     return report
@@ -552,7 +487,7 @@ def verify_master_positivity(
 
 
 def verify_oracle_equivalence(
-    count: int = 100, order: int = 120, seed: int = 0, workers: int = 1
+    count: int = 100, order: int = 120, seed: int = 0
 ) -> VerificationReport:
     """expand and oracle_expand agree on a reproducible random spec corpus.
 
@@ -560,22 +495,16 @@ def verify_oracle_equivalence(
     DivisibilityViolation is recorded as a failure for that spec index.
     """
     report = VerificationReport("oracle-equivalence")
-    specs = random_spec_corpus(count, seed)
-
-    def run(spec):
-        try:
-            return expand(spec, order), oracle_expand(spec, order)
-        except DivisibilityViolation as exc:
-            return exc, None
-
-    results = _map_ordered(run, specs, workers)
-    for index, (spec, (left, right)) in enumerate(zip(specs, results)):
+    for index, spec in enumerate(random_spec_corpus(count, seed)):
         report.mark(index)
-        if right is None:
+        try:
+            left = expand(spec, order)
+        except DivisibilityViolation as exc:
             report.failures.append(
-                Failure(index, f"DivisibilityViolation: {left}", f"exact division [{spec!r}]")
+                Failure(index, f"DivisibilityViolation: {exc}", f"exact division [{spec!r}]")
             )
             continue
+        right = oracle_expand(spec, order)
         if left != right:
             n = next(i for i in range(order + 1) if left[i] != right[i])
             report.failures.append(

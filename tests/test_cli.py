@@ -189,8 +189,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert out.strip().splitlines()[1] == "convolution,1,1,false"
 
 
-def test_verify_oracle_equivalence_with_thread_cap(capsys, monkeypatch):
-    monkeypatch.setenv("QCONVOLVE_THREADS", "3")
+def test_verify_oracle_equivalence_with_thread_cap(capsys):
     code, out, _ = run(
         capsys,
         "verify", "--identity", "oracle-equivalence",
@@ -202,11 +201,38 @@ def test_verify_oracle_equivalence_with_thread_cap(capsys, monkeypatch):
     assert payload["checked"] == 10 and payload["passed"] is True
 
 
-def test_invalid_thread_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("QCONVOLVE_THREADS", "many")
-    code, _, err = run(capsys, "verify", "--identity", "oracle-equivalence", "--count", "2", "-N", "10")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("counts", "--kind", "r", "--k", "4", "-N", "-1"),
+        ("counts", "--kind", "r", "--k", "4", "-N", "-1", "--method", "oracle"),
+        ("counts", "--kind", "r", "--k", "4", "-N", "-1", "--method", "closed"),
+        ("counts", "--kind", "u", "--k", "1", "--l", "1", "-N", "-1", "--method", "oracle"),
+        ("expand", "--spec", "1n^-1", "-N", "-1"),
+        ("verify", "--identity", "prime-r4r8", "--max", "-5"),
+        ("verify", "--identity", "t6-prime", "--max", "-5"),
+    ],
+)
+def test_negative_size_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2
-    assert "QCONVOLVE_THREADS" in err
+    assert out == ""
+    assert err.startswith("qconvolve: ") and ">= 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, span",
+    [
+        (("--identity", "prime-r2", "--max", "2"), "--max 2"),
+        (("--identity", "t4-prime", "--max", "0"), "--max 0"),
+        (("--identity", "oracle-equivalence", "--count", "0"), "--count 0"),
+    ],
+)
+def test_verify_with_no_inputs_is_usage_error(capsys, argv, span):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"qconvolve: {argv[1]} checked no inputs for {span}\n"
 
 
 def test_usage_error_on_missing_subcommand():

@@ -10,12 +10,17 @@ import pytest
 from qconvolve.counts import (
     mixed_weight,
     r_oracle,
+    r_spec,
     r_table,
     square_base,
+    squares_weight,
     t_oracle,
+    t_spec,
     t_table,
     triangular_base,
+    triangular_weight,
     u_oracle,
+    u_spec,
     u_table,
 )
 from qconvolve.divisor_sums import (
@@ -25,7 +30,7 @@ from qconvolve.divisor_sums import (
     sigma_odd,
     sigma_scaled,
 )
-from qconvolve.series import ProductSpec, expand
+from qconvolve.series import ProductSpec, expand, weighted_divisor_sum
 
 
 def brute_force_r(k, limit):
@@ -162,6 +167,18 @@ def test_mixed_weight_matches_residue_class_form():
                 assert lhs == rhs == mixed_weight(m, k, l)
 
 
+def test_table_specs_have_the_paper_weights():
+    # The tables expand these specs, so their recursion weights must be the
+    # paper's divisor-sum formulas.
+    grid = [(k, l) for k in (1, 2, 3) for l in (1, 2, 4)]
+    for m in range(1, 1001):
+        for k in range(1, 5):
+            assert weighted_divisor_sum(m, r_spec(k)) == 2 * k * squares_weight(m)
+            assert weighted_divisor_sum(m, t_spec(k)) == k * triangular_weight(m)
+        for k, l in grid:
+            assert weighted_divisor_sum(m, u_spec(k, l)) == mixed_weight(m, k, l)
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         r_table(0, 5)
@@ -169,3 +186,7 @@ def test_invalid_parameters_rejected():
         t_oracle(0, 5)
     with pytest.raises(ValueError):
         u_table(1, 0, 5)
+    with pytest.raises(ValueError):
+        r_oracle(2, -1)
+    with pytest.raises(ValueError):
+        t_oracle(2, -1)
