@@ -2,14 +2,17 @@
 
 Three subcommands: expand (product spec to coefficients), counts
 (representation-count tables), and verify (identity checks over ranges).
-Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success or
-verification passed, 1 verification failed, 2 usage or parse or
-precondition error, 3 internal divisibility violation.
+Data goes to stdout, diagnostics to stderr.  Each command returns its exit
+code and its whole output document, and main writes the document only
+after the command has returned, so a run that fails leaves stdout empty.
+Exit codes: 0 success or verification passed, 1 verification failed, 2
+usage or parse or precondition error, 3 internal divisibility violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -49,22 +52,6 @@ _CLOSED_FORMS = {
     ("t", 6): t6_closed,
 }
 
-_RANGE_DEFAULTS = {
-    "convolution": 300,
-    "prime-r2": 1000,
-    "prime-r4r8": 500,
-    "t2-prime": 500,
-    "t4-prime": 500,
-    "t6-prime": 500,
-    "R-positive": 100_000,
-}
-
-_ORDER_DEFAULTS = {
-    "master-positivity": 300,
-    "series1-positivity": 500,
-    "oracle-equivalence": 120,
-}
-
 _SINGLE_INPUT = {
     "prime-r2": verify_prime_r2,
     "prime-r4r8": verify_prime_r4_r8,
@@ -73,6 +60,7 @@ _SINGLE_INPUT = {
     "t6-prime": verify_t6,
 }
 
+# Each runner's signature names the size flags it takes and their defaults.
 _RANGE_RUNNERS = {
     "convolution": verify_convolution,
     "prime-r2": verify_prime_r2_range,
@@ -83,42 +71,39 @@ _RANGE_RUNNERS = {
     "R-positive": verify_R_positive,
 }
 
-IDENTITIES = sorted(set(_RANGE_DEFAULTS) | set(_ORDER_DEFAULTS))
+_ORDER_RUNNERS = {
+    "master-positivity": verify_master_positivity,
+    "series1-positivity": verify_series1_positivity,
+    "oracle-equivalence": verify_oracle_equivalence,
+}
+
+IDENTITIES = sorted(set(_RANGE_RUNNERS) | set(_ORDER_RUNNERS))
+
+# verify's size flags: runner keyword -> flag
+_SIZE_FLAGS = {"limit": "--max", "order": "-N", "count": "--count", "seed": "--seed"}
 
 
-def _emit_values(values, fmt: str, meta: dict) -> None:
+def _values_document(values, fmt: str, meta: dict, key: str) -> str:
     if fmt == "csv":
-        print("n,value")
-        for n, value in enumerate(values):
-            print(f"{n},{value}")
-    else:
-        payload = dict(meta)
-        payload["values"] = [str(v) for v in values]
-        print(json.dumps(payload))
+        return "n,value\n" + "".join(f"{n},{value}\n" for n, value in enumerate(values))
+    return json.dumps({**meta, key: [str(v) for v in values]}) + "\n"
 
 
-def _emit_report(report, fmt: str) -> None:
+def _report_document(report, fmt: str) -> str:
     if fmt == "csv":
-        print("identity,checked,failures,passed")
-        print(
+        return (
+            "identity,checked,failures,passed\n"
             f"{report.identity},{len(report.inputs_checked)},"
-            f"{len(report.failures)},{'true' if report.passed else 'false'}"
+            f"{len(report.failures)},{'true' if report.passed else 'false'}\n"
         )
-    else:
-        print(json.dumps(report.to_json_dict()))
+    return json.dumps(report.to_json_dict()) + "\n"
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> tuple[int, str]:
     spec = ProductSpec.parse(args.spec)
     series = expand(spec, args.order)
-    if args.format == "csv":
-        _emit_values(series, "csv", {})
-    else:
-        payload = spec.to_json_dict()
-        payload["N"] = args.order
-        payload["coefficients"] = [str(v) for v in series]
-        print(json.dumps(payload))
-    return 0
+    meta = {**spec.to_json_dict(), "N": args.order}
+    return 0, _values_document(series, args.format, meta, "coefficients")
 
 
 def _closed_table(kind: str, k: int, order: int) -> list[int]:
@@ -130,7 +115,7 @@ def _closed_table(kind: str, k: int, order: int) -> list[int]:
     return [fn(n) for n in range(order + 1)]
 
 
-def _cmd_counts(args) -> int:
+def _cmd_counts(args) -> tuple[int, str]:
     kind, k, l, order = args.kind, args.k, args.l, args.order
     if order < 0:
         raise ValueError(f"-N must be >= 0, got {order}")
@@ -150,40 +135,30 @@ def _cmd_counts(args) -> int:
         table = {"r": r_table, "t": t_table}[kind](k, order) if kind != "u" else u_table(k, l, order)
         values = list(table.values)
     meta = {"kind": kind, "k": k, "l": l, "N": order, "method": args.method}
-    _emit_values(values, args.format, meta)
-    return 0
+    return 0, _values_document(values, args.format, meta, "values")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     name = args.identity
-    if name not in IDENTITIES:
+    runner = _RANGE_RUNNERS.get(name) or _ORDER_RUNNERS.get(name)
+    if runner is None:
         raise ValueError(f"unknown identity {name!r}; choose from {', '.join(IDENTITIES)}")
-    if name in _ORDER_DEFAULTS and args.max is not None:
-        raise ValueError(f"identity {name!r} takes -N, not --max")
-    if name in _RANGE_DEFAULTS and args.order is not None:
-        raise ValueError(f"identity {name!r} takes --max, not -N")
-    if args.input is not None:
-        fn = _SINGLE_INPUT.get(name)
-        if fn is None:
+    given = {key: getattr(args, key) for key in _SIZE_FLAGS if getattr(args, key) is not None}
+    inputs = () if args.input is None else (args.input,)
+    if inputs:
+        runner = _SINGLE_INPUT.get(name)
+        if runner is None:
             raise ValueError(f"identity {name!r} takes a range, not --input")
-        report, span = fn(args.input), f"--input {args.input}"
-    elif name in _RANGE_DEFAULTS:
-        limit = args.max if args.max is not None else _RANGE_DEFAULTS[name]
-        report, span = _RANGE_RUNNERS[name](limit), f"--max {limit}"
-    else:
-        order = args.order if args.order is not None else _ORDER_DEFAULTS[name]
-        span = f"-N {order}"
-        if name == "master-positivity":
-            report = verify_master_positivity(order=order)
-        elif name == "series1-positivity":
-            report = verify_series1_positivity(order)
-        else:
-            report = verify_oracle_equivalence(count=args.count, order=order, seed=args.seed)
-            span = f"--count {args.count}"
+    accepted = inspect.signature(runner).parameters
+    extra = [flag for key, flag in _SIZE_FLAGS.items() if key in given and key not in accepted]
+    if extra:
+        takes = ", ".join(flag for key, flag in _SIZE_FLAGS.items() if key in accepted)
+        raise ValueError(f"identity {name!r} takes {takes or '--input alone'}, not {', '.join(extra)}")
+    report = runner(*inputs, **given)
     if not report.inputs_checked:
-        raise ValueError(f"{name} checked no inputs for {span}")
-    _emit_report(report, args.format)
-    return 0 if report.passed else 1
+        span = " ".join(f"{_SIZE_FLAGS[key]} {value}" for key, value in given.items())
+        raise ValueError(f"{name} checked no inputs for {span or 'its defaults'}")
+    return (0 if report.passed else 1), _report_document(report, args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,11 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify an identity over a range")
     p_verify.add_argument("--identity", required=True, metavar="NAME")
-    p_verify.add_argument("--max", type=int, help="range limit (range identities)")
+    p_verify.add_argument("--max", type=int, dest="limit", help="range limit (range identities)")
     p_verify.add_argument("-N", "--order", type=int, help="truncation order (positivity, oracle)")
     p_verify.add_argument("--input", type=int, help="check one input instead of a range")
-    p_verify.add_argument("--count", type=int, default=100, help="corpus size (oracle-equivalence)")
-    p_verify.add_argument("--seed", type=int, default=0, help="corpus seed (oracle-equivalence)")
+    p_verify.add_argument("--count", type=int, help="corpus size (oracle-equivalence)")
+    p_verify.add_argument("--seed", type=int, help="corpus seed (oracle-equivalence)")
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -225,16 +200,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Coefficients of any size print; callers in this process keep their limit.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code, document = args.func(args)
     except DivisibilityViolation as exc:
         print(f"qconvolve: divisibility violation: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"qconvolve: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
+    # The only write to stdout, after the whole document is built.
+    sys.stdout.write(document)
+    return code
 
 
 if __name__ == "__main__":

@@ -5,7 +5,10 @@ ingredients, never from the recursion under test: count values come from
 the convolution-power oracles, and the divisor-sum combinations from one
 sigma sieve (divisor_sums.sigma_combination).
 Failures are collected in reports rather than raised, so a full range can
-be surveyed in one pass.
+be surveyed in one pass.  Each range and positivity verifier takes its size
+as a keyword (limit, order, count, seed) with the README default; the CLI
+reads both the flags an identity accepts and their defaults from these
+signatures.
 """
 
 from __future__ import annotations
@@ -190,22 +193,22 @@ def _conv_sum(values, weights, n: int, start: int = 1) -> int:
 # --- convolution identity ---
 
 
-def verify_convolution(max_n: int) -> VerificationReport:
+def verify_convolution(limit: int = 300) -> VerificationReport:
     """Convolution of sigma(j)-4 sigma(j/4) against sigma*(j)-4 sigma*(j/2).
 
-    For each n checks
+    For each n in [1, limit] checks
         8 * sum_{j=1}^{n-1} (sigma(j) - 4 sigma(j/4)) (sigma*(n-j) - 4 sigma*((n-j)/2))
           = n (sigma(n) - 4 sigma(n/4)) - (sigma*(n) - 4 sigma*(n/2)).
     The factor 8 normalizes the four-squares count r_4 = 8 (sigma - 4 sigma(./4));
     the same equality, read coefficientwise, certifies the product of the two
     generating series.
     """
-    if max_n < 1:
-        raise ValueError(f"verify_convolution requires max_n >= 1, got {max_n}")
+    if limit < 1:
+        raise ValueError(f"verify_convolution requires limit >= 1, got {limit}")
     report = VerificationReport("convolution")
-    h4 = sigma_combination(max_n, _R4_TERMS)
-    g = sigma_combination(max_n, _SQUARES_TERMS)
-    for n in range(1, max_n + 1):
+    h4 = sigma_combination(limit, _R4_TERMS)
+    g = sigma_combination(limit, _SQUARES_TERMS)
+    for n in range(1, limit + 1):
         report.mark(n)
         lhs = 8 * _conv_sum(h4, g, n)
         report.expect(n, lhs, n * h4[n] - g[n])
@@ -251,7 +254,7 @@ def verify_prime_r2(p: int) -> VerificationReport:
     return _prime_r2([p], p + 1)
 
 
-def verify_prime_r2_range(limit: int) -> VerificationReport:
+def verify_prime_r2_range(limit: int = 1000) -> VerificationReport:
     """verify_prime_r2 over all odd primes < limit, twins included."""
     return _prime_r2([p for p in primes_below(limit) if p != 2], limit)
 
@@ -282,7 +285,7 @@ def verify_prime_r4_r8(p: int) -> VerificationReport:
     return _prime_r4_r8([p], p - 1)
 
 
-def verify_prime_r4_r8_range(limit: int) -> VerificationReport:
+def verify_prime_r4_r8_range(limit: int = 500) -> VerificationReport:
     """verify_prime_r4_r8 over all odd primes < limit."""
     return _prime_r4_r8([p for p in primes_below(limit) if p != 2], limit)
 
@@ -319,7 +322,7 @@ def verify_t2_prime(p: int) -> VerificationReport:
     return _t_prime_sums(2, [p], p - 1)
 
 
-def verify_t2_prime_range(limit: int) -> VerificationReport:
+def verify_t2_prime_range(limit: int = 500) -> VerificationReport:
     """verify_t2_prime over all p < limit with p and 4p + 1 prime."""
     return _t_prime_sums(2, [p for p in primes_below(limit) if is_prime(4 * p + 1)], limit)
 
@@ -334,7 +337,7 @@ def verify_t4(n: int) -> VerificationReport:
     return _t_prime_sums(4, [n], n)
 
 
-def verify_t4_range(limit: int) -> VerificationReport:
+def verify_t4_range(limit: int = 500) -> VerificationReport:
     """verify_t4 over all n < limit with 2n + 1 prime."""
     return _t_prime_sums(4, [n for n in range(1, limit) if is_prime(2 * n + 1)], limit)
 
@@ -349,7 +352,7 @@ def verify_t6(n: int) -> VerificationReport:
     return _t_prime_sums(6, [n], n)
 
 
-def verify_t6_range(limit: int) -> VerificationReport:
+def verify_t6_range(limit: int = 500) -> VerificationReport:
     """verify_t6 over all n < limit with 4n + 3 prime."""
     return _t_prime_sums(6, [n for n in range(limit) if is_prime(4 * n + 3)], limit)
 
@@ -369,7 +372,7 @@ def R_combination(n: int) -> int:
     )
 
 
-def verify_R_positive(limit: int) -> VerificationReport:
+def verify_R_positive(limit: int = 100_000) -> VerificationReport:
     """R_combination(n) > 0 for all n in [1, limit], via a sigma sieve."""
     if limit < 1:
         raise ValueError(f"verify_R_positive requires limit >= 1, got {limit}")
@@ -443,7 +446,7 @@ def verify_positivity(
 SERIES1_SPEC = ProductSpec.parse("1n^-4,2n^2,4n^-2,8n^4")
 
 
-def verify_series1_positivity(order: int) -> VerificationReport:
+def verify_series1_positivity(order: int = 500) -> VerificationReport:
     """All coefficients of (1-x^n)^-4 (1-x^2n)^2 (1-x^4n)^-2 (1-x^8n)^4 are positive."""
     return verify_positivity(SERIES1_SPEC, order, "series1-positivity")
 

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import inspect
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qconvolve import cli
 from qconvolve.cli import main
 
 
@@ -55,6 +61,16 @@ def test_expand_parse_error_exit_code(capsys):
     assert code == 2
     assert out == ""
     assert err.strip().splitlines() == ["qconvolve: bad factor '2x^1': expected m[n[-i]]^c"]
+
+
+def test_expand_prints_integers_of_any_size(capsys):
+    digit_limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "expand", "--spec", "1n^-1000000000000000000000000000000", "-N", "160")
+    assert code == 0 and err == ""
+    values = csv_values(out)
+    assert len(values) == 161
+    assert len(values[-1]) > digit_limit
+    assert sys.get_int_max_str_digits() == digit_limit
 
 
 def test_counts_oracle_table(capsys):
@@ -164,11 +180,19 @@ def test_verify_unknown_identity(capsys):
     assert "unknown identity" in err
 
 
+MISMATCHED_FLAGS = (
+    (("series1-positivity", "--max", "10"), "takes -N"),
+    (("convolution", "-N", "10"), "takes --max"),
+    (("convolution", "--max", "20", "--count", "5"), "takes --max"),
+    (("master-positivity", "-N", "20", "--seed", "3"), "takes -N"),
+    (("prime-r2", "--input", "13", "--max", "5"), "takes --input alone"),
+)
+
+
 def test_verify_rejects_mismatched_range_flags(capsys):
-    code, _, err = run(capsys, "verify", "--identity", "series1-positivity", "--max", "10")
-    assert code == 2 and "takes -N" in err
-    code, _, err = run(capsys, "verify", "--identity", "convolution", "-N", "10")
-    assert code == 2 and "takes --max" in err
+    for argv, expected in MISMATCHED_FLAGS:
+        code, out, err = run(capsys, "verify", "--identity", *argv)
+        assert code == 2 and out == "" and expected in err, argv
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -177,7 +201,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     import qconvolve.cli as cli
     from qconvolve.identities import VerificationReport
 
-    def failing_range(limit):
+    def failing_range(limit=300):
         report = VerificationReport("convolution")
         report.mark(1)
         report.expect(1, 0, 1)
@@ -199,6 +223,31 @@ def test_verify_oracle_equivalence_with_thread_cap(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["checked"] == 10 and payload["passed"] is True
+
+
+# The README's default for every verify identity, keyed by runner keyword.
+README_DEFAULTS = {
+    "convolution": {"limit": 300},
+    "prime-r2": {"limit": 1000},
+    "prime-r4r8": {"limit": 500},
+    "t2-prime": {"limit": 500},
+    "t4-prime": {"limit": 500},
+    "t6-prime": {"limit": 500},
+    "R-positive": {"limit": 100_000},
+    "master-positivity": {"order": 300},
+    "series1-positivity": {"order": 500},
+    "oracle-equivalence": {"order": 120, "count": 100, "seed": 0},
+}
+
+
+def test_verify_defaults_live_in_the_runner_signatures():
+    runners = {**cli._RANGE_RUNNERS, **cli._ORDER_RUNNERS}
+    assert set(runners) == set(README_DEFAULTS) == set(cli.IDENTITIES)
+    for name, runner in runners.items():
+        bound = inspect.signature(runner).bind()
+        bound.apply_defaults()
+        sizes = {key: value for key, value in bound.arguments.items() if key in cli._SIZE_FLAGS}
+        assert sizes == README_DEFAULTS[name], name
 
 
 @pytest.mark.parametrize(
@@ -239,3 +288,84 @@ def test_usage_error_on_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# --- every argv of a bounded grammar ends in one exit code and one document ---
+
+SIZES = st.integers(-3, 30).map(str)
+FORMATS = st.lists(st.sampled_from(("csv", "json")), max_size=1).map(
+    lambda fmt: ["--format", *fmt] if fmt else []
+)
+# Modulus 0, exponent 0 and an offset equal to the modulus are the invalid
+# values; they come last, so that most drawn factors parse.
+FACTORS = st.sampled_from((1, 2, 3, 4, 5, 6, 0)).flatmap(
+    lambda m: st.builds(
+        lambda i, c: f"{m}n-{i}^{c}" if i else f"{m}n^{c}",
+        st.integers(0, m),
+        st.sampled_from((1, -1, 2, -2, 3, -3, 4, -4, 0)),
+    )
+)
+SPECS = st.lists(FACTORS, min_size=1, max_size=3).map(",".join)
+VERIFY_FLAGS = ("--max", "-N", "--input", "--count", "--seed")
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(("expand", "counts", "verify")))
+    if command == "expand":
+        argv = ["expand", "--spec", draw(SPECS), "-N", draw(SIZES)]
+    elif command == "counts":
+        kind = draw(st.sampled_from("rtu"))
+        argv = ["counts", "--kind", kind, "--k", draw(SIZES), "-N", draw(SIZES)]
+        if draw(st.booleans()):
+            argv += ["--l", draw(SIZES)]
+        argv += ["--method", draw(st.sampled_from(("recursive", "oracle", "closed")))]
+    else:
+        name = draw(st.sampled_from((*README_DEFAULTS, "nonsense")))
+        argv = ["verify", "--identity", name]
+        # One to three flags, half the time only flags the identity takes.  A
+        # bare master-positivity runs its default N=300 for a second (the
+        # signature test pins the bare defaults), and no identity takes four.
+        takes = [cli._SIZE_FLAGS[key] for key in README_DEFAULTS.get(name, {})]
+        flags = st.one_of(
+            st.lists(st.sampled_from(takes or VERIFY_FLAGS), min_size=1, unique=True),
+            st.lists(st.sampled_from(VERIFY_FLAGS), min_size=1, max_size=3, unique=True),
+        )
+        for flag in draw(flags):
+            argv += [flag, draw(SIZES)]
+    return argv + draw(FORMATS)
+
+
+def assert_one_document(argv, out):
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
+    if argv[0] == "verify":
+        if fmt == "json":
+            assert set(json.loads(out)) == {"identity", "checked", "failures", "passed"}
+        else:
+            lines = out.splitlines()
+            assert lines[0] == "identity,checked,failures,passed" and len(lines) == 2
+            assert len(lines[1].split(",")) == 4
+        return
+    rows = int(argv[argv.index("-N") + 1]) + 1
+    if fmt == "json":
+        assert len(json.loads(out)["coefficients" if argv[0] == "expand" else "values"]) == rows
+    else:
+        assert len(csv_values(out)) == rows
+    assert out.endswith("\n") and not out.endswith("\n\n")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(cli_argv())
+def test_every_argv_ends_in_one_exit_code_and_one_document(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 3):
+        assert out.getvalue() == "", argv
+    else:
+        assert_one_document(argv, out.getvalue())
