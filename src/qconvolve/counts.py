@@ -4,9 +4,12 @@ r_k(n) counts ordered integer k-tuples of squares summing to n, t_k(n)
 ordered k-tuples of triangular numbers, and u_{k,l}(n) mixed sums of k
 squares plus l triangular numbers.  Each table is computed two independent
 ways.  The tables expand an eta quotient, a product of (q^m;q^m)^c factors,
-with series.expand, whose recursion weight is the paper's divisor-sum
-combination (squares_weight, triangular_weight, mixed_weight).  The oracles
-take convolution powers of the k = 1 indicator tables with series.multiply.
+with series.expand, which applies such factors mostly through Euler's
+pentagonal series (factors with large exponents go to its log-derivative
+recursion).  The spec's recursion weight is the paper's divisor-sum
+combination (squares_weight, triangular_weight, mixed_weight), which
+test_table_specs_have_the_paper_weights pins.  The oracles take convolution
+powers of the k = 1 indicator tables with series.multiply.
 """
 
 from __future__ import annotations

@@ -494,8 +494,11 @@ def verify_oracle_equivalence(
 ) -> VerificationReport:
     """expand and oracle_expand agree on a reproducible random spec corpus.
 
-    Also certifies that the checked division in expand never fires: a
-    DivisibilityViolation is recorded as a failure for that spec index.
+    Also certifies that the checked division in expand's recursion never
+    fires on the factors the recursion handles: a DivisibilityViolation is
+    recorded as a failure for that spec index.  Eta factors that expand
+    applies through the pentagonal series involve no division, so for them
+    only the agreement with the oracle is checked.
     """
     report = VerificationReport("oracle-equivalence")
     for index, spec in enumerate(random_spec_corpus(count, seed)):

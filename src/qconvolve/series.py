@@ -2,17 +2,21 @@
 
 A product spec denotes a finite product of factors (1 - x^d)^c, d ranging
 over an arithmetic progression {m*n - i : n >= 1}.  The expansion engine
-turns the logarithmic derivative of the product into a coefficient
+has two exact paths.  An eta factor (x^m;x^m)^c (offset 0) with a small
+enough |c| is applied through Euler's pentagonal series, which has only
+O(sqrt(N/m)) nonzero terms up to x^N, all +-1: multiplying or dividing by it
+takes additions only.  Every other factor goes to the log-derivative
 recursion: n * p(n) is a convolution of earlier coefficients against
 weighted divisor sums, and the division by n is performed checked-exact.
-An independent oracle expands the same product by plain polynomial
-multiplication and division.
+expand documents the rule that picks the path.  An independent oracle
+expands the same product by plain polynomial multiplication and division.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add, mul, sub
 from random import Random
 
 from .divisor_sums import divisors
@@ -218,27 +222,95 @@ def _weight_table(spec: ProductSpec, limit: int) -> list[int]:
     return table
 
 
+def _pentagonal(limit: int) -> list[tuple[int, int]]:
+    """Nonzero terms (g, sign) of (x;x)_inf at exponents 1..limit, ascending.
+
+    Euler's pentagonal number theorem: (x;x)_inf = sum_k (-1)^k x^{k(3k-1)/2}
+    over all integers k, so the exponents are the generalized pentagonal
+    numbers and every coefficient is +-1.
+    """
+    terms = []
+    k = 1
+    while (g := k * (3 * k - 1) // 2) <= limit:
+        sign = -1 if k % 2 else 1
+        terms += [(e, sign) for e in (g, g + k) if e <= limit]
+        k += 1
+    return terms
+
+
+def _times_eta(a: list[int], shifts: list[tuple[int, int]]) -> list[int]:
+    """a times (x^m;x^m)_inf, whose terms are shifts (m*g, sign) below len(a).
+
+    One slice step per term: out[d:] += sign * a[:len(a) - d].
+    """
+    out = list(a)
+    size = len(a)
+    for d, sign in shifts:
+        out[d:] = map(add if sign > 0 else sub, out[d:], a[: size - d])
+    return out
+
+
+def _over_eta(a: list[int], shifts: list[tuple[int, int]]) -> list[int]:
+    """a divided by (x^m;x^m)_inf, whose terms are shifts (m*g, sign) below len(a).
+
+    Euler's recurrence out[n] = a[n] - sum_g sign_g * out[n - m*g]; each
+    out[n] reads only entries below it, so the recurrence runs in place.
+    """
+    out = list(a)
+    for n in range(1, len(out)):
+        acc = out[n]
+        for d, sign in shifts:
+            if d > n:
+                break
+            if sign > 0:
+                acc -= out[n - d]
+            else:
+                acc += out[n - d]
+        out[n] = acc
+    return out
+
+
 def expand(spec: ProductSpec, order: int) -> PowerSeries:
     """Expand the product to the given truncation order.
 
-    Coefficient 0 is 1; coefficient n is the convolution of the earlier
-    coefficients against the weight table, divided exactly by n.  A failed
-    division raises DivisibilityViolation (an internal bug signal: integer
-    exponents always divide exactly).
+    Factors take one of two exact paths, chosen from the spec and the order
+    alone.  An eta factor (x^m;x^m)^c (offset 0, m <= order) whose cost
+    |c| * T(order//m) is at most the order, T(L) being the number of nonzero
+    terms of (x;x)_inf at exponents 1..L, is applied |c| times by Euler's
+    pentagonal series: multiplication for c > 0, the pentagonal recurrence
+    for c < 0, with additions only.  Every other factor, including eta
+    factors with huge exponents, goes to the log-derivative recursion:
+    coefficient n of their product is the convolution of the earlier
+    coefficients against the weight table, divided exactly by n.  A failed division raises
+    DivisibilityViolation (an internal bug signal: integer exponents always
+    divide exactly); the pentagonal path performs no division.
     """
     if order < 0:
         raise ValueError(f"expand requires order >= 0, got {order}")
-    weights = _weight_table(spec, order)
-    nonzero = [(k, w) for k, w in enumerate(weights) if k and w]
+    eta, rest = [], []
+    for f in spec.factors:
+        m = f.index_set.modulus
+        shifts = []
+        if f.index_set.offset == 0:
+            shifts = [(m * g, sign) for g, sign in _pentagonal(order // m)]
+        # With no term up to the order the factor is 1 here; the recursion
+        # skips it at no cost, where |c| empty passes could be 10^30.
+        if shifts and abs(f.exponent) * len(shifts) <= order:
+            eta.append((f.exponent, shifts))
+        else:
+            rest.append(f)
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
-    for n in range(1, order + 1):
-        acc = 0
-        for k, w in nonzero:
-            if k > n:
-                break
-            acc += coeffs[n - k] * w
-        coeffs[n] = checked_div(acc, n)
+    if rest:
+        reversed_weights = _weight_table(ProductSpec(rest), order)[::-1]
+        for n in range(1, order + 1):
+            # coeffs[n] is still 0, so the slice may reach weight 0.
+            acc = sum(map(mul, coeffs, reversed_weights[order - n :]))
+            coeffs[n] = checked_div(acc, n)
+    for c, shifts in eta:
+        step = _times_eta if c > 0 else _over_eta
+        for _ in range(abs(c)):
+            coeffs = step(coeffs, shifts)
     return PowerSeries(tuple(coeffs))
 
 

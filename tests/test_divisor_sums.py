@@ -147,6 +147,12 @@ def test_sigma_table_matches_sigma():
         assert table[n] == sigma(n)
 
 
+def test_sigma_table_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    table = sigma_table(2000)
+    assert table[1:] == [int(sympy.divisor_sigma(n)) for n in range(1, 2001)]
+
+
 def test_negative_arguments_rejected():
     for fn in (sigma, sigma_star):
         with pytest.raises(ValueError):

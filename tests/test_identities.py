@@ -56,6 +56,14 @@ def test_is_prime_and_sieve_agree():
         assert is_prime(n) == (n in sieved)
 
 
+def test_is_prime_and_sieve_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    limit = 10**4
+    assert primes_below(limit) == [n for n in range(limit) if sympy.isprime(n)]
+    for n in range(limit):
+        assert is_prime(n) == sympy.isprime(n)
+
+
 def test_kronecker_minus4():
     assert kronecker_minus4(1) == 1
     assert kronecker_minus4(3) == -1

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from qconvolve import series
 from qconvolve.divisor_sums import sigma
 from qconvolve.errors import DivisibilityViolation, ParseError, checked_div
 from qconvolve.series import (
@@ -24,6 +25,7 @@ from qconvolve.series import (
 
 JACOBI = ProductSpec.parse("2n^1,4n-2^2,2n-1^-2")
 GAUSS = ProductSpec.parse("2n^1,2n-1^-1")
+SERIES1 = ProductSpec.parse("1n^-4,2n^2,4n^-2,8n^4")
 
 
 # --- types ---
@@ -193,6 +195,51 @@ def test_oracle_expand_partition_numbers():
 def test_expand_matches_oracle_on_random_corpus():
     for spec in random_spec_corpus(40, seed=2024):
         assert expand(spec, 120) == oracle_expand(spec, 120)
+
+
+def test_expand_matches_oracle_at_larger_order():
+    for spec in random_spec_corpus(40, seed=31, max_modulus=12):
+        assert expand(spec, 400) == oracle_expand(spec, 400)
+    assert expand(SERIES1, 800) == oracle_expand(SERIES1, 800)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_expand_routes_eta_factors_by_cost(monkeypatch, sign):
+    # (x;x)_inf has 32 nonzero terms at exponents 1..400, so |c| = 12 costs
+    # 384 <= 400 pentagonal steps and takes that path, while |c| = 13 costs
+    # 416 and goes to the recursion.  Both must agree with the oracle.
+    assert len(series._pentagonal(400)) == 32
+    steps = []
+    name = "_times_eta" if sign > 0 else "_over_eta"
+    step = getattr(series, name)
+
+    def counted(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(series, name, counted)
+    for c, pentagonal_steps in ((12, 12), (13, 0)):
+        steps.clear()
+        spec = ProductSpec.parse(f"1n^{sign * c}")
+        assert expand(spec, 400) == oracle_expand(spec, 400)
+        assert len(steps) == pentagonal_steps
+
+
+def test_expand_gives_exact_values_for_a_huge_exponent():
+    # 10^30 pentagonal passes would never finish; the recursion takes it.
+    big = 10**30
+    p = expand(ProductSpec.parse(f"1n^-{big}"), 40)
+    assert p[1] == big
+    assert p[2] == big * (big + 3) // 2
+    # A factor with no term up to the order goes to the recursion too, which
+    # skips it; 10^30 empty pentagonal passes would not finish either.
+    assert list(expand(ProductSpec.parse(f"50n^{big}"), 40)) == [1] + [0] * 40
+
+
+def test_expand_gives_partition_numbers_like_sympy():
+    partition = pytest.importorskip("sympy.functions.combinatorial.numbers").partition
+    p = expand(ProductSpec.parse("1n^-1"), 1000)
+    assert list(p) == [int(partition(n)) for n in range(1001)]
 
 
 def test_expand_is_prefix_consistent():
