@@ -9,7 +9,8 @@ pentagonal series (factors with large exponents go to its log-derivative
 recursion).  The spec's recursion weight is the paper's divisor-sum
 combination (squares_weight, triangular_weight, mixed_weight), which
 test_table_specs_have_the_paper_weights pins.  The oracles take convolution
-powers of the k = 1 indicator tables with series.multiply.
+powers of the k = 1 indicator tables with series.multiply, a Kronecker
+substitution product.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 The verifiers recompute both sides of each identity from independent
 ingredients, never from the recursion under test: count values come from
 the convolution-power oracles, and the divisor-sum combinations from one
-sigma sieve (divisor_sums.sigma_combination).
+sigma sieve (divisor_sums.sigma_combination).  Every convolution sum of a
+verifier comes from one series.multiply of its count table and its weight
+table, indexed by the input.
 Failures are collected in reports rather than raised, so a full range can
 be surveyed in one pass.  Each range and positivity verifier takes its size
 as a keyword (limit, order, count, seed) with the README default; the CLI
@@ -22,8 +24,10 @@ from .errors import DivisibilityViolation, NotPrime, PreconditionNotMet, checked
 from .series import (
     Factor,
     FactorSet,
+    PowerSeries,
     ProductSpec,
     expand,
+    multiply,
     oracle_expand,
     random_spec_corpus,
 )
@@ -186,8 +190,16 @@ _R4_TERMS = ((1, 1), (-4, 4))
 _R_TERMS = ((4, 1), (-4, 2), (8, 4), (-32, 8))
 
 
-def _conv_sum(values, weights, n: int, start: int = 1) -> int:
-    return sum(values[j] * weights[n - j] for j in range(start, n))
+def _weighted_sums(values, weights, start: int = 1) -> tuple[int, ...]:
+    """All sums sum_{j=start}^{n-1} values[j] weights[n-j], indexed by n.
+
+    One multiply of the two tables: weights[0] is 0, so coefficient n of
+    (0,)*start + values[start:] times weights is exactly that sum.  Both
+    tables get one trailing 0, so the sums reach n = len(tables), one past
+    the last index either table holds.
+    """
+    head = PowerSeries((0,) * start + tuple(values[start:]) + (0,))
+    return multiply(head, PowerSeries((*weights, 0))).coeffs
 
 
 # --- convolution identity ---
@@ -208,10 +220,10 @@ def verify_convolution(limit: int = 300) -> VerificationReport:
     report = VerificationReport("convolution")
     h4 = sigma_combination(limit, _R4_TERMS)
     g = sigma_combination(limit, _SQUARES_TERMS)
+    sums = _weighted_sums(h4, g)
     for n in range(1, limit + 1):
         report.mark(n)
-        lhs = 8 * _conv_sum(h4, g, n)
-        report.expect(n, lhs, n * h4[n] - g[n])
+        report.expect(n, 8 * sums[n], n * h4[n] - g[n])
     return report
 
 
@@ -219,28 +231,26 @@ def verify_convolution(limit: int = 300) -> VerificationReport:
 #
 # Each single-input verifier below checks its precondition and runs a core
 # over [input]; the range verifier runs the same core over every qualifying
-# input below the limit.  A core's tables hold indices 0..size.
+# input below the limit.  A core's tables hold indices 0..size, so its
+# sums reach n = size + 1.
 
 
-def _check_twin_r2(report, p, r2, g):
+def _check_twin_r2(report, p, sums):
     # Twin corollary: the sum at p + 2 is -4 - (sum at p) when p = 1 mod 4,
     # and -(sum at p) when p = 3 mod 4.
-    s_p = _conv_sum(r2, g, p)
-    s_next = _conv_sum(r2, g, p + 2)
-    expected = -4 - s_p if p % 4 == 1 else -s_p
-    report.expect(p, s_next, expected)
+    expected = -4 - sums[p] if p % 4 == 1 else -sums[p]
+    report.expect(p, sums[p + 2], expected)
 
 
 def _prime_r2(primes, size: int) -> VerificationReport:
-    # The twin check at p reads indices up to p + 1, so size > max(primes).
+    # The twin check at p reads the sum at p + 2, so size > max(primes).
     report = VerificationReport("prime-r2")
-    r2 = r_oracle(2, size).values
-    g = sigma_combination(size, _SQUARES_TERMS)
+    sums = _weighted_sums(r_oracle(2, size).values, sigma_combination(size, _SQUARES_TERMS))
     for p in primes:
         report.mark(p)
-        report.expect(p, _conv_sum(r2, g, p), p - 1 if p % 4 == 1 else -p - 1)
+        report.expect(p, sums[p], p - 1 if p % 4 == 1 else -p - 1)
         if is_prime(p + 2):
-            _check_twin_r2(report, p, r2, g)
+            _check_twin_r2(report, p, sums)
     return report
 
 
@@ -261,11 +271,11 @@ def verify_prime_r2_range(limit: int = 1000) -> VerificationReport:
 
 def _prime_r4_r8(primes, size: int) -> VerificationReport:
     report = VerificationReport("prime-r4r8")
-    r2, r4, r8 = (r_oracle(k, size).values for k in (2, 4, 8))
     g = sigma_combination(size, _SQUARES_TERMS)
+    sums = [_weighted_sums(r_oracle(k, size).values, g) for k in (2, 4, 8)]
     for p in primes:
         report.mark(p)
-        s2, s4, s8 = (_conv_sum(r, g, p) for r in (r2, r4, r8))
+        s2, s4, s8 = (s[p] for s in sums)
         report.expect(p, s4, p * p - 1)
         report.expect(p, s8, p ** 4 - 1)
         # Squares-of-sums corollary ties the three prime sums together.
@@ -303,11 +313,11 @@ _T_PRIME_SUMS = {
 def _t_prime_sums(k: int, inputs, size: int) -> VerificationReport:
     identity, start, value = _T_PRIME_SUMS[k]
     report = VerificationReport(identity)
-    tk = t_oracle(k, size).values
     h = sigma_combination(size, _TRIANGULAR_TERMS)
+    sums = _weighted_sums(t_oracle(k, size).values, h, start)
     for n in inputs:
         report.mark(n)
-        report.expect(n, _conv_sum(tk, h, n, start), value(n))
+        report.expect(n, sums[n], value(n))
     return report
 
 

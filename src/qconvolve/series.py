@@ -10,6 +10,8 @@ recursion: n * p(n) is a convolution of earlier coefficients against
 weighted divisor sums, and the division by n is performed checked-exact.
 expand documents the rule that picks the path.  An independent oracle
 expands the same product by plain polynomial multiplication and division.
+multiply, the one dense product of two series, packs each operand into a
+big int (Kronecker substitution) and multiplies once.
 """
 
 from __future__ import annotations
@@ -339,22 +341,42 @@ def oracle_expand(spec: ProductSpec, order: int) -> PowerSeries:
     return PowerSeries(tuple(out))
 
 
+def _pack(coeffs, width: int) -> int:
+    """Signed coefficients as one int, coefficient i in bytes [i*width, (i+1)*width)."""
+    zero = bytes(width)
+    positive = b"".join([c.to_bytes(width, "little") if c > 0 else zero for c in coeffs])
+    value = int.from_bytes(positive, "little")
+    if min(coeffs) < 0:
+        negative = b"".join([(-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs])
+        value -= int.from_bytes(negative, "little")
+    return value
+
+
 def multiply(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated to the smaller order."""
+    """Cauchy product truncated to the smaller order.
+
+    Kronecker substitution: each operand is packed into one big int with a
+    slot of w bytes per coefficient, so a single big-int multiplication
+    (CPython's Karatsuba) forms every convolution sum at once.  Every
+    product coefficient c has |c| <= max|a| * max|b| * (order + 1) <
+    2^(8w-1), so adding a bias of 2^(8w-1) to each slot makes all slots
+    nonnegative and carry-free; the low order + 1 slots are then read back
+    minus the bias.
+    """
     order = min(a.order, b.order)
-    # Iterate the operand with fewer nonzero terms on the outside.
-    first, second = a.coeffs, b.coeffs
-    if sum(1 for v in first if v) > sum(1 for v in second if v):
-        first, second = second, first
-    out = [0] * (order + 1)
-    for j, fj in enumerate(first[: order + 1]):
-        if not fj:
-            continue
-        for i in range(order - j + 1):
-            si = second[i]
-            if si:
-                out[i + j] += fj * si
-    return PowerSeries(tuple(out))
+    size = order + 1
+    first, second = a.coeffs[:size], b.coeffs[:size]
+    bound = max(map(abs, first)) * max(map(abs, second)) * size
+    if not bound:
+        # An all-zero operand; the other may not even fit a one-byte slot.
+        return PowerSeries((0,) * size)
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    low = (_pack(first, width) * _pack(second, width) + bias) & ((1 << (8 * width * size)) - 1)
+    data = low.to_bytes(width * size, "little")
+    slots = range(0, width * size, width)
+    return PowerSeries(tuple([int.from_bytes(data[i : i + width], "little") - half for i in slots]))
 
 
 def random_product_spec(

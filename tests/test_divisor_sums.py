@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import isqrt
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -145,6 +147,31 @@ def test_sigma_table_matches_sigma():
     assert table[0] == 1
     for n in range(0, 2001):
         assert table[n] == sigma(n)
+
+
+def test_sigma_table_at_every_small_limit():
+    # Covers the sieve bound isqrt(limit) where it is 0, 1 and an exact root.
+    for limit in range(65):
+        assert sigma_table(limit) == [sigma(n) for n in range(limit + 1)]
+
+
+def test_sigma_table_at_prime_powers_and_squares_near_the_root():
+    limit = 2**18
+    table = sigma_table(limit)
+    for p in (2, 3, 5, 7):
+        power = p
+        while power <= limit:
+            assert table[power] == (power * p - 1) // (p - 1)
+            power *= p
+    root = isqrt(limit)
+    near = [q for q in range(root - 20, root + 20) if divisors(q) == [1, q]]
+    assert near == [499, 503, 509, 521, 523]
+    for q in near:
+        assert table[q] == q + 1
+        if q * q <= limit:
+            assert table[q * q] == q * q + q + 1
+    # Where limit is a prime square, the sieve must still reach its root.
+    assert sigma_table(509 * 509)[-1] == 509 * 509 + 509 + 1
 
 
 def test_sigma_table_matches_sympy():

@@ -147,9 +147,9 @@ def test_prime_r2_range_checks_twins_straddling_the_limit(monkeypatch):
     twins = []
     check = identities._check_twin_r2
 
-    def spy(report, p, r2, g):
+    def spy(report, p, *rest):
         twins.append(p)
-        check(report, p, r2, g)
+        check(report, p, *rest)
 
     monkeypatch.setattr(identities, "_check_twin_r2", spy)
     assert verify_prime_r2_range(13).passed
@@ -220,6 +220,42 @@ def test_verifier_divisor_sums_come_from_the_sieve():
         assert values[0] == 0
         for n in range(1, 2001):
             assert values[n] == sum(c * sigma_scaled(n, m) for c, m in terms) == formula(n)
+
+
+def test_verifiers_build_each_sum_table_once(monkeypatch):
+    # All sums of a verifier come from one multiply per count table, however
+    # many inputs its range holds.
+    import qconvolve.identities as identities
+
+    calls = []
+    real = identities.multiply
+
+    def spy(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(identities, "multiply", spy)
+
+    def multiplies(run, *args):
+        calls.clear()
+        assert run(*args).passed
+        return len(calls)
+
+    for limit in (40, 600):
+        assert multiplies(identities.verify_convolution, limit) == 1
+        assert multiplies(identities.verify_prime_r2_range, limit) == 1
+        assert multiplies(identities.verify_prime_r4_r8_range, limit) == 3
+        for run in (
+            identities.verify_t2_prime_range,
+            identities.verify_t4_range,
+            identities.verify_t6_range,
+        ):
+            assert multiplies(run, limit) == 1
+    # The smallest single inputs read the sum one past their tables.
+    assert multiplies(verify_prime_r4_r8, 3) == 3
+    assert multiplies(verify_prime_r2, 3) == 1
+    assert multiplies(verify_t4, 1) == 1
+    assert multiplies(verify_t6, 0) == 1
 
 
 def test_R_positive_range_verifier():

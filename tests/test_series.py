@@ -5,7 +5,7 @@ from __future__ import annotations
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qconvolve import series
 from qconvolve.divisor_sums import sigma
@@ -275,6 +275,46 @@ def test_multiply_examples():
 def test_multiply_truncates_to_smaller_order():
     product = multiply(PowerSeries((1, 1, 1, 1)), PowerSeries((1, 1)))
     assert list(product) == [1, 2]
+
+
+def naive_product(a, b):
+    order = min(len(a), len(b)) - 1
+    return [sum(a[j] * b[n - j] for j in range(n + 1)) for n in range(order + 1)]
+
+
+@st.composite
+def operands(draw, top):
+    """Coefficient lists of orders 0..40: random in [-top, top], all zero,
+    or all at the extremes +-top, which drives a product coefficient onto
+    the slot bound max|a| * max|b| * (order + 1)."""
+    size = draw(st.integers(1, 41))
+    kind = draw(st.sampled_from(["random", "zero", "extreme", "constant"]))
+    if kind == "random":
+        return draw(st.lists(st.integers(-top, top), min_size=size, max_size=size))
+    if kind == "zero":
+        return [0] * size
+    if kind == "extreme":
+        return draw(st.lists(st.sampled_from([top, -top]), min_size=size, max_size=size))
+    return [draw(st.sampled_from([top, -top]))] * size
+
+
+@st.composite
+def operand_pairs(draw):
+    top = draw(st.integers(0, 2**200) | st.sampled_from([1, 8, 2**7, 2**64 - 1, 2**200]))
+    return draw(operands(top)), draw(operands(top))
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs())
+# 8 * 8 * 2 = 2^7: the bound itself needs a second byte.
+@example(([8, 8], [8, 8]))
+@example(([-8, -8], [8, 8]))
+@example(([5], [-3]))
+@example(([0] * 41, [2**200] * 41))
+def test_multiply_matches_the_double_sum(pair):
+    a, b = pair
+    product = multiply(PowerSeries(tuple(a)), PowerSeries(tuple(b)))
+    assert list(product) == naive_product(a, b)
 
 
 def test_checked_div_raises_on_remainder():
