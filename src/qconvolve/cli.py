@@ -6,7 +6,8 @@ Data goes to stdout, diagnostics to stderr.  Each command returns its exit
 code and its whole output document, and main writes the document only
 after the command has returned, so a run that fails leaves stdout empty.
 Exit codes: 0 success or verification passed, 1 verification failed, 2
-usage or parse or precondition error, 3 internal divisibility violation.
+usage or parse or precondition error (or a request too large for memory),
+3 internal divisibility violation.
 """
 
 from __future__ import annotations
@@ -211,6 +212,10 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"qconvolve: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # Unwinding has freed what the command built, so printing can allocate.
+        print("qconvolve: out of memory: the request is too large", file=sys.stderr)
         return 2
     finally:
         sys.set_int_max_str_digits(digit_limit)

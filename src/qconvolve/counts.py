@@ -4,13 +4,15 @@ r_k(n) counts ordered integer k-tuples of squares summing to n, t_k(n)
 ordered k-tuples of triangular numbers, and u_{k,l}(n) mixed sums of k
 squares plus l triangular numbers.  Each table is computed two independent
 ways.  The tables expand an eta quotient, a product of (q^m;q^m)^c factors,
-with series.expand, which applies such factors mostly through Euler's
-pentagonal series (factors with large exponents go to its log-derivative
-recursion).  The spec's recursion weight is the paper's divisor-sum
+with series.expand.  For each of these quotients sum c/m is 0, so the
+counts grow only polynomially and expand runs its log-derivative recursion
+(divide and conquer over series.multiply, every division checked-exact)
+rather than the pentagonal path, whose intermediates would be
+partition-sized.  The spec's recursion weight is the paper's divisor-sum
 combination (squares_weight, triangular_weight, mixed_weight), which
 test_table_specs_have_the_paper_weights pins.  The oracles take convolution
-powers of the k = 1 indicator tables with series.multiply, a Kronecker
-substitution product.
+powers of the k = 1 indicator tables by binary powering with
+series.multiply, a Kronecker substitution product; they never call expand.
 """
 
 from __future__ import annotations
@@ -124,10 +126,15 @@ def triangular_base(order: int) -> list[int]:
 
 
 def _convolution_power(base: list[int], k: int) -> PowerSeries:
-    power = base = PowerSeries(tuple(base))
-    for _ in range(k - 1):
-        power = multiply(power, base)
-    return power
+    """base^k by binary powering: r_8 takes three squarings."""
+    square, power = PowerSeries(tuple(base)), None
+    while True:
+        if k & 1:
+            power = square if power is None else multiply(power, square)
+        k >>= 1
+        if not k:
+            return power
+        square = multiply(square, square)
 
 
 def r_oracle(k: int, order: int) -> CountTable:

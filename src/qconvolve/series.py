@@ -2,22 +2,26 @@
 
 A product spec denotes a finite product of factors (1 - x^d)^c, d ranging
 over an arithmetic progression {m*n - i : n >= 1}.  The expansion engine
-has two exact paths.  An eta factor (x^m;x^m)^c (offset 0) with a small
-enough |c| is applied through Euler's pentagonal series, which has only
-O(sqrt(N/m)) nonzero terms up to x^N, all +-1: multiplying or dividing by it
-takes additions only.  Every other factor goes to the log-derivative
-recursion: n * p(n) is a convolution of earlier coefficients against
-weighted divisor sums, and the division by n is performed checked-exact.
-expand documents the rule that picks the path.  An independent oracle
-expands the same product by plain polynomial multiplication and division.
-multiply, the one dense product of two series, packs each operand into a
-big int (Kronecker substitution) and multiplies once.
+has two exact paths.  The log-derivative recursion serves every factor:
+n * p(n) is a convolution of earlier coefficients against weighted divisor
+sums, and the division by n is performed checked-exact.  It forms those
+convolutions by divide and conquer, whole blocks at a time through
+multiply, so its cost tracks the size of the output.  An eta factor
+(x^m;x^m)^c (offset 0) can instead be applied through Euler's pentagonal
+series, which has only O(sqrt(N/m)) nonzero terms up to x^N, all +-1:
+multiplying or dividing by it takes additions only, but its cost tracks
+the size of the intermediates.  expand documents the rule that picks the
+path.  An independent oracle expands the same product by plain polynomial
+multiplication and division.  multiply, the one dense product of two
+series, packs each operand into a big int (Kronecker substitution) and
+multiplies once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import lcm
 from operator import add, mul, sub
 from random import Random
 
@@ -272,28 +276,81 @@ def _over_eta(a: list[int], shifts: list[tuple[int, int]]) -> list[int]:
     return out
 
 
+_LEAF = 64
+
+
+def _recursion(weights: list[int], order: int) -> list[int]:
+    """Coefficients 0..order of the product whose recursion weights are given.
+
+    Solves n * p(n) = sum_{k=1..n} weights[k] * p(n - k), p(0) = 1, online:
+    p(n) is needed before the sums of later coefficients can be formed.  The
+    weights are known in advance, so divide and conquer (the semi-relaxed
+    product) forms the sums by whole blocks.  To solve [l, r) it solves the
+    left half, adds the left half's contribution to every sum of the right
+    half with one multiply of p[l:mid] by weights[:r - l], and then solves
+    the right half.  Each pair j < n is either parted by exactly one split
+    or shares a block of at most _LEAF coefficients, which finishes each
+    sum with a dot product over the block and divides it by n checked-exact;
+    so every term enters its sum once.
+    """
+    coeffs = [1] + [0] * order
+    sums = [0] * (order + 1)
+    head = min(_LEAF, order)
+    # reversed_head[head - d] is weights[d] for d = 1..head.
+    reversed_head = weights[head:0:-1]
+
+    def solve(l: int, r: int) -> None:
+        if r - l <= _LEAF:
+            for n in range(max(l, 1), r):
+                acc = sums[n] + sum(map(mul, coeffs[l:n], reversed_head[head - (n - l) :]))
+                coeffs[n] = checked_div(acc, n)
+            return
+        mid = (l + r) // 2
+        solve(l, mid)
+        left = PowerSeries(tuple(coeffs[l:mid]) + (0,) * (r - mid))
+        block = multiply(left, PowerSeries(tuple(weights[: r - l])))
+        sums[mid:r] = map(add, sums[mid:r], block.coeffs[mid - l :])
+        solve(mid, r)
+
+    solve(0, order + 1)
+    return coeffs
+
+
 def expand(spec: ProductSpec, order: int) -> PowerSeries:
     """Expand the product to the given truncation order.
 
     Factors take one of two exact paths, chosen from the spec and the order
-    alone.  An eta factor (x^m;x^m)^c (offset 0, m <= order) whose cost
-    |c| * T(order//m) is at most the order, T(L) being the number of nonzero
-    terms of (x;x)_inf at exponents 1..L, is applied |c| times by Euler's
-    pentagonal series: multiplication for c > 0, the pentagonal recurrence
-    for c < 0, with additions only.  Every other factor, including eta
-    factors with huge exponents, goes to the log-derivative recursion:
-    coefficient n of their product is the convolution of the earlier
-    coefficients against the weight table, divided exactly by n.  A failed division raises
-    DivisibilityViolation (an internal bug signal: integer exponents always
-    divide exactly); the pentagonal path performs no division.
+    alone.  The log-derivative recursion serves any factor: coefficient n is
+    the convolution of the earlier coefficients against the weight table,
+    divided exactly by n, and _recursion forms those convolutions by divide
+    and conquer over multiply, O(M(N) log N) for an M(N) product of size N.
+    An eta factor (x^m;x^m)^c (offset 0) can instead be applied |c| times by
+    Euler's pentagonal series, with additions only: multiplication for
+    c > 0, the pentagonal recurrence for c < 0.
+
+    The recursion's cost tracks the size of the output's coefficients, the
+    pentagonal path's the size of its intermediates, which can be far larger
+    (r_k divides by (x;x)^2k before it multiplies).  So the whole spec picks:
+    the output's coefficients grow like exp(C sqrt(n)) exactly when
+    sum_f c_f / m_f < 0 over all factors (Meinardus), computed here in exact
+    integers.  Only then does an eta factor take the pentagonal path, and
+    only if its cost |c| * T(order//m) is at most the order, T(L) being the
+    number of nonzero terms of (x;x)_inf at exponents 1..L.  With the sum
+    >= 0 (r_k, t_k, u_{k,l}: polynomial-size outputs) every factor goes to
+    the recursion.  A failed division raises DivisibilityViolation (an
+    internal bug signal: integer exponents always divide exactly); the
+    pentagonal path performs no division.
     """
     if order < 0:
         raise ValueError(f"expand requires order >= 0, got {order}")
+    # sum c/m < 0, scaled by the moduli's lcm so it stays in integers.
+    common = lcm(*(f.index_set.modulus for f in spec.factors))
+    grows = sum(f.exponent * (common // f.index_set.modulus) for f in spec.factors) < 0
     eta, rest = [], []
     for f in spec.factors:
         m = f.index_set.modulus
         shifts = []
-        if f.index_set.offset == 0:
+        if grows and f.index_set.offset == 0:
             shifts = [(m * g, sign) for g, sign in _pentagonal(order // m)]
         # With no term up to the order the factor is 1 here; the recursion
         # skips it at no cost, where |c| empty passes could be 10^30.
@@ -301,14 +358,9 @@ def expand(spec: ProductSpec, order: int) -> PowerSeries:
             eta.append((f.exponent, shifts))
         else:
             rest.append(f)
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
+    coeffs = [1] + [0] * order
     if rest:
-        reversed_weights = _weight_table(ProductSpec(rest), order)[::-1]
-        for n in range(1, order + 1):
-            # coeffs[n] is still 0, so the slice may reach weight 0.
-            acc = sum(map(mul, coeffs, reversed_weights[order - n :]))
-            coeffs[n] = checked_div(acc, n)
+        coeffs = _recursion(_weight_table(ProductSpec(rest), order), order)
     for c, shifts in eta:
         step = _times_eta if c > 0 else _over_eta
         for _ in range(abs(c)):

@@ -6,11 +6,15 @@ import contextlib
 import inspect
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qconvolve
 from qconvolve import cli
 from qconvolve.cli import main
 
@@ -369,3 +373,22 @@ def test_every_argv_ends_in_one_exit_code_and_one_document(argv):
         assert out.getvalue() == "", argv
     else:
         assert_one_document(argv, out.getvalue())
+
+
+def test_out_of_memory_exits_2_with_one_line_and_empty_stdout():
+    # A child limited to 1 GiB of address space cannot hold 10^9 + 1
+    # coefficients; the limit applies to that child alone.
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(qconvolve.__file__).parents[1])}
+    proc = subprocess.run(
+        (sys.executable, "-m", "qconvolve", "expand", "--spec", "1n^-1", "-N", "1000000000"),
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("qconvolve: ") and proc.stderr.count("\n") == 1

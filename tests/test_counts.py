@@ -30,7 +30,7 @@ from qconvolve.divisor_sums import (
     sigma_odd,
     sigma_scaled,
 )
-from qconvolve.series import ProductSpec, expand, weighted_divisor_sum
+from qconvolve.series import PowerSeries, ProductSpec, expand, multiply, weighted_divisor_sum
 
 
 def brute_force_r(k, limit):
@@ -126,6 +126,21 @@ def test_tables_agree_with_oracles_midrange():
     for k in (1, 3):
         for l in (1, 4):
             assert u_table(k, l, 60).values == u_oracle(k, l, 60).values
+
+
+def test_oracles_power_by_squaring(monkeypatch):
+    # The k-th power takes one squaring per bit below the top and one more
+    # multiply per further set bit: r_8 takes 3, r_7 takes 4.
+    import qconvolve.counts as counts
+
+    calls = []
+    monkeypatch.setattr(counts, "multiply", lambda a, b: calls.append(len(a)) or multiply(a, b))
+    base = power = PowerSeries(tuple(square_base(80)))
+    for k in range(1, 9):
+        calls.clear()
+        assert r_oracle(k, 80).values == power.coeffs
+        assert len(calls) == k.bit_length() + k.bit_count() - 2
+        power = multiply(power, base)
 
 
 def test_square_counts_are_even_past_zero():

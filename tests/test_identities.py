@@ -95,6 +95,33 @@ def test_closed_forms_match_oracles():
         assert t6_closed(n) == t6[n]
 
 
+def test_closed_forms_match_sympy():
+    # Jacobi's and Legendre's formulas evaluated with sympy's number theory,
+    # which shares no code with the divisor sieve or the closed forms.
+    sympy = pytest.importorskip("sympy")
+
+    def sigma_k(n, k=1, scale=1):
+        """sympy's sigma_k(n / scale), 0 unless scale divides n."""
+        return 0 if n % scale else int(sympy.divisor_sigma(n // scale, k))
+
+    # chi_{-4}(d) for the odd d up to 4 * 2000 + 3.
+    chi = {d: int(sympy.jacobi_symbol(-1, d)) for d in range(1, 8004, 2)}
+
+    def chi_sum(n, power=0):
+        """Sum of chi_{-4}(d) d^power over the divisors d of n."""
+        return sum(chi[d] * d**power for d in sympy.divisors(n) if d % 2)
+
+    for n in range(1, 2001):
+        assert r2_closed(n) == 4 * chi_sum(n)
+        assert r4_closed(n) == 8 * sigma_k(n) - 32 * sigma_k(n, scale=4)
+        cubes = 16 * sigma_k(n, 3, scale=2) - sigma_k(n, 3) if n % 2 == 0 else sigma_k(n, 3)
+        assert r8_closed(n) == 16 * cubes
+    for n in range(0, 2001):
+        assert t2_closed(n) == chi_sum(4 * n + 1)
+        assert t4_closed(n) == sigma_k(2 * n + 1)
+        assert 8 * t6_closed(n) == -chi_sum(4 * n + 3, 2)
+
+
 def test_t6_closed_at_primes_4n_plus_3():
     # When 4n + 3 is prime the value collapses to (n + 1)(2n + 1).
     for n in range(0, 100):
@@ -224,21 +251,26 @@ def test_verifier_divisor_sums_come_from_the_sieve():
 
 def test_verifiers_build_each_sum_table_once(monkeypatch):
     # All sums of a verifier come from one multiply per count table, however
-    # many inputs its range holds.
+    # many inputs its range holds.  prime-r4r8 also squares r_2 into r_4 and
+    # r_4 into r_8, two more multiplies of a table by itself.
     import qconvolve.identities as identities
 
     calls = []
+    squarings = []
     real = identities.multiply
 
     def spy(a, b):
-        calls.append(len(a))
+        (squarings if a is b else calls).append(len(a))
         return real(a, b)
 
     monkeypatch.setattr(identities, "multiply", spy)
 
     def multiplies(run, *args):
         calls.clear()
+        squarings.clear()
         assert run(*args).passed
+        squares_r2 = run in (identities.verify_prime_r4_r8_range, verify_prime_r4_r8)
+        assert len(squarings) == (2 if squares_r2 else 0)
         return len(calls)
 
     for limit in (40, 600):

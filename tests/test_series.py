@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qconvolve import series
+from qconvolve.counts import r_oracle, r_spec, t_spec, u_spec
 from qconvolve.divisor_sums import sigma
 from qconvolve.errors import DivisibilityViolation, ParseError, checked_div
 from qconvolve.series import (
@@ -205,10 +206,14 @@ def test_expand_matches_oracle_at_larger_order():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_expand_routes_eta_factors_by_cost(monkeypatch, sign):
-    # (x;x)_inf has 32 nonzero terms at exponents 1..400, so |c| = 12 costs
-    # 384 <= 400 pentagonal steps and takes that path, while |c| = 13 costs
-    # 416 and goes to the recursion.  Both must agree with the oracle.
+    # The pentagonal path serves only specs whose coefficients grow,
+    # sum c/m < 0.  There (x;x)_inf, with 32 nonzero terms at exponents
+    # 1..400, costs 384 <= 400 steps at |c| = 12 and takes that path, while
+    # |c| = 13 costs 416 and goes to the recursion; (x^2;x^2)_inf has 22
+    # terms up to 400, so |c| = 12 costs 264.  With sum c/m >= 0 every
+    # factor goes to the recursion, however cheap.  All agree with an oracle.
     assert len(series._pentagonal(400)) == 32
+    assert len(series._pentagonal(200)) == 22
     steps = []
     name = "_times_eta" if sign > 0 else "_over_eta"
     step = getattr(series, name)
@@ -218,11 +223,55 @@ def test_expand_routes_eta_factors_by_cost(monkeypatch, sign):
         return step(*args)
 
     monkeypatch.setattr(series, name, counted)
-    for c, pentagonal_steps in ((12, 12), (13, 0)):
+    growing = (("1n^-13,2n^12", 12), ("1n^-12", 0)) if sign > 0 else (("1n^-12", 12), ("1n^-13", 0))
+    for text, pentagonal_steps in (*growing, ("1n^12", 0), ("2n^-12,1n^6", 0)):
         steps.clear()
-        spec = ProductSpec.parse(f"1n^{sign * c}")
+        spec = ProductSpec.parse(text)
         assert expand(spec, 400) == oracle_expand(spec, 400)
         assert len(steps) == pentagonal_steps
+    steps.clear()
+    assert expand(r_spec(4), 400).coeffs == r_oracle(4, 400).values
+    assert not steps
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [r_spec(4), t_spec(6), u_spec(2, 3), ProductSpec.parse("1n^-3,5n-1^3,5n-3^3")],
+    ids=ProductSpec.to_text,
+)
+def test_expand_matches_oracle_across_recursion_blocks(spec):
+    # Orders 0..2*leaf+2 take one leaf, a leaf and a split, and two levels of
+    # splits; 300 and 1000 take several levels.  Truncated products are
+    # prefix-exact, so one oracle expansion serves every order.
+    leaf = series._LEAF
+    oracle = oracle_expand(spec, 1000)
+    for order in (*range(2 * leaf + 3), 300, 1000):
+        assert expand(spec, order) == oracle.truncate(order)
+
+
+def test_recursion_checks_divisions_fed_by_cross_block_multiply(monkeypatch):
+    # Weight k enters the sum of coefficient k through its p(0) term, and
+    # for k past the leaf that term comes from a cross-block multiply, not
+    # from a leaf's dot product.  Off by one, it leaves k * p(k) + 1.
+    bad = series._LEAF + 1
+    weight_table = series._weight_table
+    multiplies = []
+    multiply_ = series.multiply
+
+    def skewed(spec, limit):
+        table = weight_table(spec, limit)
+        table[bad] += 1
+        return table
+
+    def spied(a, b):
+        multiplies.append(len(b))
+        return multiply_(a, b)
+
+    monkeypatch.setattr(series, "_weight_table", skewed)
+    monkeypatch.setattr(series, "multiply", spied)
+    with pytest.raises(DivisibilityViolation, match=rf"^{bad} does not divide"):
+        expand(r_spec(4), 200)
+    assert max(multiplies) > bad
 
 
 def test_expand_gives_exact_values_for_a_huge_exponent():
@@ -234,6 +283,11 @@ def test_expand_gives_exact_values_for_a_huge_exponent():
     # A factor with no term up to the order goes to the recursion too, which
     # skips it; 10^30 empty pentagonal passes would not finish either.
     assert list(expand(ProductSpec.parse(f"50n^{big}"), 40)) == [1] + [0] * 40
+    # The growth rule's sum of c/m is exact: 10^400 / 1 overflows a float.
+    huge = 10**400
+    assert list(expand(ProductSpec.parse(f"1n^-{huge}"), 1)) == [1, huge]
+    psi_power = expand(ProductSpec.parse(f"1n^-{huge},2n^{2 * huge}"), 2)
+    assert list(psi_power) == [1, huge, huge * (huge - 1) // 2]
 
 
 def test_expand_gives_partition_numbers_like_sympy():
