@@ -28,9 +28,6 @@ from .series import PowerSeries, ProductSpec, expand, multiply
 class CountTable:
     """Values g(0..N) of one representation-count function."""
 
-    kind: str  # "squares" | "triangular" | "mixed"
-    k: int
-    l: int | None
     values: tuple[int, ...]
 
     @property
@@ -85,21 +82,21 @@ def r_table(k: int, order: int) -> CountTable:
     """Counts of n as an ordered sum of k integer squares, n = 0..order."""
     if k < 1:
         raise ValueError(f"r_table requires k >= 1, got {k}")
-    return CountTable("squares", k, None, expand(r_spec(k), order).coeffs)
+    return CountTable(expand(r_spec(k), order).coeffs)
 
 
 def t_table(k: int, order: int) -> CountTable:
     """Counts of n as an ordered sum of k triangular numbers."""
     if k < 1:
         raise ValueError(f"t_table requires k >= 1, got {k}")
-    return CountTable("triangular", k, None, expand(t_spec(k), order).coeffs)
+    return CountTable(expand(t_spec(k), order).coeffs)
 
 
 def u_table(k: int, l: int, order: int) -> CountTable:
     """Counts of n as k squares plus l triangular numbers, both ordered."""
     if k < 1 or l < 1:
         raise ValueError(f"u_table requires k, l >= 1, got k={k}, l={l}")
-    return CountTable("mixed", k, l, expand(u_spec(k, l), order).coeffs)
+    return CountTable(expand(u_spec(k, l), order).coeffs)
 
 
 def square_base(order: int) -> list[int]:
@@ -141,14 +138,14 @@ def r_oracle(k: int, order: int) -> CountTable:
     """r_table oracle: k-th convolution power of the square indicator."""
     if k < 1:
         raise ValueError(f"r_oracle requires k >= 1, got {k}")
-    return CountTable("squares", k, None, _convolution_power(square_base(order), k).coeffs)
+    return CountTable(_convolution_power(square_base(order), k).coeffs)
 
 
 def t_oracle(k: int, order: int) -> CountTable:
     """t_table oracle: k-th convolution power of the triangular indicator."""
     if k < 1:
         raise ValueError(f"t_oracle requires k >= 1, got {k}")
-    return CountTable("triangular", k, None, _convolution_power(triangular_base(order), k).coeffs)
+    return CountTable(_convolution_power(triangular_base(order), k).coeffs)
 
 
 def u_oracle(k: int, l: int, order: int) -> CountTable:
@@ -157,4 +154,4 @@ def u_oracle(k: int, l: int, order: int) -> CountTable:
         raise ValueError(f"u_oracle requires k, l >= 1, got k={k}, l={l}")
     squares = _convolution_power(square_base(order), k)
     triangulars = _convolution_power(triangular_base(order), l)
-    return CountTable("mixed", k, l, multiply(squares, triangulars).coeffs)
+    return CountTable(multiply(squares, triangulars).coeffs)

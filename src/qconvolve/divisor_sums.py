@@ -39,15 +39,7 @@ def sigma(n: int) -> int:
         raise ValueError(f"sigma requires n >= 0, got {n}")
     if n == 0:
         return 1
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d
-            if d * d != n:
-                total += n // d
-        d += 1
-    return total
+    return sum(divisors(n))
 
 
 def sigma_scaled(n: int, m: int) -> int:

@@ -2,19 +2,15 @@
 
 A product spec denotes a finite product of factors (1 - x^d)^c, d ranging
 over an arithmetic progression {m*n - i : n >= 1}.  The expansion engine
-has two exact paths.  The log-derivative recursion serves every factor:
-n * p(n) is a convolution of earlier coefficients against weighted divisor
-sums, and the division by n is performed checked-exact.  It forms those
-convolutions by divide and conquer, whole blocks at a time through
-multiply, so its cost tracks the size of the output.  An eta factor
-(x^m;x^m)^c (offset 0) can instead be applied through Euler's pentagonal
-series, which has only O(sqrt(N/m)) nonzero terms up to x^N, all +-1:
-multiplying or dividing by it takes additions only, but its cost tracks
-the size of the intermediates.  expand documents the rule that picks the
-path.  An independent oracle expands the same product by plain polynomial
-multiplication and division.  multiply, the one dense product of two
-series, packs each operand into a big int (Kronecker substitution) and
-multiplies once.
+is the log-derivative recursion: n * p(n) is a convolution of earlier
+coefficients against weighted divisor sums, formed by divide and conquer
+through multiply and divided by n checked-exact.  In a spec whose
+coefficients grow, expand divides out each negative eta factor
+(x^m;x^m)^c by Euler's pentagonal recurrence instead; expand documents
+the rule.  An independent oracle expands the same product by plain
+polynomial multiplication and division.  multiply, the one dense product
+of two series, packs each operand into a big int (Kronecker substitution)
+and multiplies once.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import lcm
-from operator import add, mul, sub
+from operator import add, mul
 from random import Random
 
 from .divisor_sums import divisors
@@ -74,13 +70,6 @@ class FactorSet:
                 f" modulus={self.modulus}"
             )
 
-    @classmethod
-    def from_residue(cls, residue: int, modulus: int) -> "FactorSet":
-        """The set of all positive integers congruent to residue mod modulus."""
-        if modulus < 1 or not 0 <= residue < modulus:
-            raise ValueError(f"need 0 <= residue < modulus, got {residue} mod {modulus}")
-        return cls(modulus, (-residue) % modulus)
-
     @property
     def least(self) -> int:
         """Smallest member, modulus - offset."""
@@ -124,18 +113,13 @@ class ProductSpec:
         factors = tuple(factors)
         if not factors:
             raise ValueError("a product spec needs at least one factor")
+        # A dict keeps its keys in first-insertion order.
         exponents: dict[tuple[int, int], int] = {}
-        order: list[tuple[int, int]] = []
         for f in factors:
             key = (f.index_set.modulus, f.index_set.offset)
-            if key not in exponents:
-                exponents[key] = 0
-                order.append(key)
-            exponents[key] += f.exponent
+            exponents[key] = exponents.get(key, 0) + f.exponent
         self.factors = tuple(
-            Factor(FactorSet(m, i), exponents[(m, i)])
-            for (m, i) in order
-            if exponents[(m, i)] != 0
+            Factor(FactorSet(m, i), c) for (m, i), c in exponents.items() if c != 0
         )
 
     @classmethod
@@ -159,17 +143,6 @@ class ProductSpec:
             if c == 0:
                 raise ParseError(f"bad factor {part!r}: exponent must be nonzero")
             factors.append(Factor(FactorSet(m, i), c))
-        return cls(factors)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ProductSpec":
-        try:
-            factors = [
-                Factor(FactorSet(int(f["m"]), int(f["i"])), int(f["c"]))
-                for f in data["factors"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad product-spec JSON: {exc}") from exc
         return cls(factors)
 
     def to_json_dict(self) -> dict:
@@ -244,18 +217,6 @@ def _pentagonal(limit: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _times_eta(a: list[int], shifts: list[tuple[int, int]]) -> list[int]:
-    """a times (x^m;x^m)_inf, whose terms are shifts (m*g, sign) below len(a).
-
-    One slice step per term: out[d:] += sign * a[:len(a) - d].
-    """
-    out = list(a)
-    size = len(a)
-    for d, sign in shifts:
-        out[d:] = map(add if sign > 0 else sub, out[d:], a[: size - d])
-    return out
-
-
 def _over_eta(a: list[int], shifts: list[tuple[int, int]]) -> list[int]:
     """a divided by (x^m;x^m)_inf, whose terms are shifts (m*g, sign) below len(a).
 
@@ -324,47 +285,47 @@ def expand(spec: ProductSpec, order: int) -> PowerSeries:
     the convolution of the earlier coefficients against the weight table,
     divided exactly by n, and _recursion forms those convolutions by divide
     and conquer over multiply, O(M(N) log N) for an M(N) product of size N.
-    An eta factor (x^m;x^m)^c (offset 0) can instead be applied |c| times by
-    Euler's pentagonal series, with additions only: multiplication for
-    c > 0, the pentagonal recurrence for c < 0.
+    An eta factor (x^m;x^m)^c with c < 0 can instead be divided out |c|
+    times by Euler's pentagonal recurrence, with additions only.
 
     The recursion's cost tracks the size of the output's coefficients, the
     pentagonal path's the size of its intermediates, which can be far larger
-    (r_k divides by (x;x)^2k before it multiplies).  So the whole spec picks:
-    the output's coefficients grow like exp(C sqrt(n)) exactly when
-    sum_f c_f / m_f < 0 over all factors (Meinardus), computed here in exact
-    integers.  Only then does an eta factor take the pentagonal path, and
-    only if its cost |c| * T(order//m) is at most the order, T(L) being the
-    number of nonzero terms of (x;x)_inf at exponents 1..L.  With the sum
-    >= 0 (r_k, t_k, u_{k,l}: polynomial-size outputs) every factor goes to
-    the recursion.  A failed division raises DivisibilityViolation (an
-    internal bug signal: integer exponents always divide exactly); the
-    pentagonal path performs no division.
+    (dividing by (x;x)^2k alone leaves r_k partition-sized intermediates).
+    So the whole spec picks: the output's coefficients grow like
+    exp(C sqrt(n)) exactly when sum_f c_f / m_f < 0 over all factors
+    (Meinardus), computed here in exact integers.  Only then does an eta
+    factor with c < 0 take the pentagonal path, and only if its cost
+    |c| * T(order//m) is at most the order, T(L) being the number of
+    nonzero terms of (x;x)_inf at exponents 1..L.  Every other factor goes
+    to the recursion: eta factors with c > 0, all factors of a spec with
+    the sum >= 0 (r_k, t_k, u_{k,l}: polynomial-size outputs), and eta
+    factors whose |c| is too large.  The recursion runs first and the
+    pentagonal divisions follow.  A failed division raises
+    DivisibilityViolation (an internal bug signal: integer exponents always
+    divide exactly); the pentagonal path performs no division.
     """
     if order < 0:
         raise ValueError(f"expand requires order >= 0, got {order}")
     # sum c/m < 0, scaled by the moduli's lcm so it stays in integers.
     common = lcm(*(f.index_set.modulus for f in spec.factors))
     grows = sum(f.exponent * (common // f.index_set.modulus) for f in spec.factors) < 0
-    eta, rest = [], []
+    divisions, rest = [], []
     for f in spec.factors:
         m = f.index_set.modulus
         shifts = []
-        if grows and f.index_set.offset == 0:
+        if grows and f.index_set.offset == 0 and f.exponent < 0:
             shifts = [(m * g, sign) for g, sign in _pentagonal(order // m)]
         # With no term up to the order the factor is 1 here; the recursion
         # skips it at no cost, where |c| empty passes could be 10^30.
-        if shifts and abs(f.exponent) * len(shifts) <= order:
-            eta.append((f.exponent, shifts))
+        if shifts and -f.exponent * len(shifts) <= order:
+            divisions += [shifts] * -f.exponent
         else:
             rest.append(f)
     coeffs = [1] + [0] * order
     if rest:
         coeffs = _recursion(_weight_table(ProductSpec(rest), order), order)
-    for c, shifts in eta:
-        step = _times_eta if c > 0 else _over_eta
-        for _ in range(abs(c)):
-            coeffs = step(coeffs, shifts)
+    for shifts in divisions:
+        coeffs = _over_eta(coeffs, shifts)
     return PowerSeries(tuple(coeffs))
 
 
