@@ -76,7 +76,6 @@ from .series import (
     expand,
     multiply,
     oracle_expand,
-    random_product_spec,
     random_spec_corpus,
     weighted_divisor_sum,
 )

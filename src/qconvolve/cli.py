@@ -61,7 +61,7 @@ _SINGLE_INPUT = {
     "t6-prime": verify_t6,
 }
 
-# Each runner's signature names the size flags it takes and their defaults.
+# Every identity's runner; its signature names its size flags and their defaults.
 _RANGE_RUNNERS = {
     "convolution": verify_convolution,
     "prime-r2": verify_prime_r2_range,
@@ -70,15 +70,12 @@ _RANGE_RUNNERS = {
     "t4-prime": verify_t4_range,
     "t6-prime": verify_t6_range,
     "R-positive": verify_R_positive,
-}
-
-_ORDER_RUNNERS = {
     "master-positivity": verify_master_positivity,
     "series1-positivity": verify_series1_positivity,
     "oracle-equivalence": verify_oracle_equivalence,
 }
 
-IDENTITIES = sorted(set(_RANGE_RUNNERS) | set(_ORDER_RUNNERS))
+IDENTITIES = sorted(_RANGE_RUNNERS)
 
 # verify's size flags: runner keyword -> flag
 _SIZE_FLAGS = {"limit": "--max", "order": "-N", "count": "--count", "seed": "--seed"}
@@ -141,7 +138,7 @@ def _cmd_counts(args) -> tuple[int, str]:
 
 def _cmd_verify(args) -> tuple[int, str]:
     name = args.identity
-    runner = _RANGE_RUNNERS.get(name) or _ORDER_RUNNERS.get(name)
+    runner = _RANGE_RUNNERS.get(name)
     if runner is None:
         raise ValueError(f"unknown identity {name!r}; choose from {', '.join(IDENTITIES)}")
     given = {key: getattr(args, key) for key in _SIZE_FLAGS if getattr(args, key) is not None}

@@ -13,6 +13,8 @@ combination (squares_weight, triangular_weight, mixed_weight), which
 test_table_specs_have_the_paper_weights pins.  The oracles take convolution
 powers of the k = 1 indicator tables by binary powering with
 series.multiply, a Kronecker substitution product; they never call expand.
+A table is a PowerSeries, so it passes straight to series.multiply;
+.values names its coefficients.
 """
 
 from __future__ import annotations
@@ -25,23 +27,13 @@ from .series import PowerSeries, ProductSpec, expand, multiply
 
 
 @dataclass(frozen=True)
-class CountTable:
-    """Values g(0..N) of one representation-count function."""
-
-    values: tuple[int, ...]
+class CountTable(PowerSeries):
+    """Values g(0..N) of one representation-count function, as a power series."""
 
     @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
+    def values(self) -> tuple[int, ...]:
+        """The counts g(0..N), which are the series' coefficients."""
+        return self.coeffs
 
 
 def squares_weight(m: int) -> int:

@@ -273,7 +273,7 @@ def _prime_r4_r8(primes, size: int) -> VerificationReport:
     report = VerificationReport("prime-r4r8")
     g = sigma_combination(size, _SQUARES_TERMS)
     # r_4 = r_2 r_2 and r_8 = r_4 r_4: three multiplies in all, none by expand.
-    r2 = PowerSeries(r_oracle(2, size).values)
+    r2 = r_oracle(2, size)
     r4 = multiply(r2, r2)
     sums = [_weighted_sums(r.coeffs, g) for r in (r2, r4, multiply(r4, r4))]
     for p in primes:
@@ -464,13 +464,11 @@ def verify_series1_positivity(order: int = 500) -> VerificationReport:
     return verify_positivity(SERIES1_SPEC, order, "series1-positivity")
 
 
-def master_positivity_cases(
-    a_values=(1, 2, 3), b_values=(2, 3, 4, 5)
-) -> list[MasterFamilyParams]:
-    """Every (a, b, offsets, reading) combination over the given grids."""
+def master_positivity_cases() -> list[MasterFamilyParams]:
+    """Every (a, b, offsets, reading) combination, a in 1..3 and b in 2..5."""
     cases = []
-    for a in a_values:
-        for b in b_values:
+    for a in (1, 2, 3):
+        for b in (2, 3, 4, 5):
             candidates = range(b - 1)
             for size in range(1, b):
                 for offsets in combinations(candidates, size):
@@ -479,18 +477,14 @@ def master_positivity_cases(
     return cases
 
 
-def verify_master_positivity(
-    order: int = 300,
-    a_values=(1, 2, 3),
-    b_values=(2, 3, 4, 5),
-) -> VerificationReport:
-    """Positivity of the whole family over the parameter grid, both readings.
+def verify_master_positivity(order: int = 300) -> VerificationReport:
+    """Positivity of the whole family over master_positivity_cases, both readings.
 
     Failures carry the coefficient index as input and the offending
     parameter combination in the expected-value text.
     """
     report = VerificationReport("master-positivity")
-    for index, params in enumerate(master_positivity_cases(a_values, b_values)):
+    for index, params in enumerate(master_positivity_cases()):
         sub = verify_positivity(
             master_family_spec(params), order, "master-positivity", params.describe()
         )

@@ -48,11 +48,6 @@ class PowerSeries:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def truncate(self, order: int) -> "PowerSeries":
-        if order < 0 or order > self.order:
-            raise ValueError(f"cannot truncate order-{self.order} series to {order}")
-        return PowerSeries(self.coeffs[: order + 1])
-
 
 @dataclass(frozen=True)
 class FactorSet:
@@ -392,24 +387,19 @@ def multiply(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     return PowerSeries(tuple([int.from_bytes(data[i : i + width], "little") - half for i in slots]))
 
 
-def random_product_spec(
-    rng: Random,
-    max_modulus: int = 8,
-    max_exponent: int = 5,
-    max_factors: int = 4,
-) -> ProductSpec:
-    """Draw a spec with 1..max_factors factors, small moduli and exponents."""
-    exponent_choices = [c for c in range(-max_exponent, max_exponent + 1) if c]
-    factors = []
-    for _ in range(rng.randint(1, max_factors)):
-        m = rng.randint(1, max_modulus)
-        i = rng.randint(0, m - 1)
-        c = rng.choice(exponent_choices)
-        factors.append(Factor(FactorSet(m, i), c))
-    return ProductSpec(factors)
+def random_spec_corpus(count: int, seed: int = 0, max_modulus: int = 8) -> list[ProductSpec]:
+    """A reproducible corpus of random specs for oracle cross-checks.
 
-
-def random_spec_corpus(count: int, seed: int = 0, **kwargs) -> list[ProductSpec]:
-    """A reproducible corpus of random specs for oracle cross-checks."""
+    Each spec has 1..4 factors; each factor draws a modulus m in
+    1..max_modulus, an offset in 0..m-1 and an exponent in +-1..5.
+    """
     rng = Random(seed)
-    return [random_product_spec(rng, **kwargs) for _ in range(count)]
+    exponents = [c for c in range(-5, 6) if c]
+    corpus = []
+    for _ in range(count):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            m = rng.randint(1, max_modulus)
+            factors.append(Factor(FactorSet(m, rng.randint(0, m - 1)), rng.choice(exponents)))
+        corpus.append(ProductSpec(factors))
+    return corpus

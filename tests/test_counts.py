@@ -128,6 +128,15 @@ def test_tables_agree_with_oracles_midrange():
             assert u_table(k, l, 60).values == u_oracle(k, l, 60).values
 
 
+def test_count_tables_are_power_series():
+    # r_2 r_2 = r_4 with no re-wrapping: a table passes straight to multiply.
+    assert multiply(r_oracle(2, 200), r_oracle(2, 200)).coeffs == r_oracle(4, 200).values
+    for table in (r_table(3, 40), t_table(5, 40), u_table(2, 3, 40)):
+        assert isinstance(table, PowerSeries)
+        assert table.values == table.coeffs
+        assert table.order == 40
+
+
 def test_oracles_power_by_squaring(monkeypatch):
     # The k-th power takes one squaring per bit below the top and one more
     # multiply per further set bit: r_8 takes 3, r_7 takes 4.
