@@ -6,15 +6,7 @@ for sums of squares and triangular numbers, and mechanically verifies the
 associated divisor-sum identities against independent brute-force oracles.
 """
 
-from .counts import (
-    CountTable,
-    r_oracle,
-    r_table,
-    t_oracle,
-    t_table,
-    u_oracle,
-    u_table,
-)
+from .counts import r_oracle, r_table, t_oracle, t_table, u_oracle, u_table
 from .divisor_sums import (
     divisors,
     sigma,

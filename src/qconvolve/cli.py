@@ -127,11 +127,9 @@ def _cmd_counts(args) -> tuple[int, str]:
             raise ValueError("no closed form for mixed counts")
         values = _closed_table(kind, k, order)
     elif args.method == "oracle":
-        table = {"r": r_oracle, "t": t_oracle}[kind](k, order) if kind != "u" else u_oracle(k, l, order)
-        values = list(table.values)
+        values = {"r": r_oracle, "t": t_oracle}[kind](k, order) if kind != "u" else u_oracle(k, l, order)
     else:
-        table = {"r": r_table, "t": t_table}[kind](k, order) if kind != "u" else u_table(k, l, order)
-        values = list(table.values)
+        values = {"r": r_table, "t": t_table}[kind](k, order) if kind != "u" else u_table(k, l, order)
     meta = {"kind": kind, "k": k, "l": l, "N": order, "method": args.method}
     return 0, _values_document(values, args.format, meta, "values")
 

@@ -13,27 +13,17 @@ combination (squares_weight, triangular_weight, mixed_weight), which
 test_table_specs_have_the_paper_weights pins.  The oracles take convolution
 powers of the k = 1 indicator tables by binary powering with
 series.multiply, a Kronecker substitution product; they never call expand.
-A table is a PowerSeries, so it passes straight to series.multiply;
-.values names its coefficients.
+Tables and oracles are plain PowerSeries: the counts g(0..N) are the
+coefficients of theta^k, psi^k or theta^k psi^l, so a table passes
+straight to series.multiply and compares equal to its series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .divisor_sums import sigma, sigma_scaled, sigma_star, sigma_star_scaled
 from .series import PowerSeries, ProductSpec, expand, multiply
-
-
-@dataclass(frozen=True)
-class CountTable(PowerSeries):
-    """Values g(0..N) of one representation-count function, as a power series."""
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        """The counts g(0..N), which are the series' coefficients."""
-        return self.coeffs
 
 
 def squares_weight(m: int) -> int:
@@ -67,28 +57,28 @@ def t_spec(k: int) -> ProductSpec:
 
 def u_spec(k: int, l: int) -> ProductSpec:
     """theta^k psi^l as one eta quotient; weight mixed_weight(., k, l)."""
-    return ProductSpec.parse(f"1n^{-(2 * k + l)},2n^{5 * k + 2 * l},4n^{-2 * k}")
+    return ProductSpec(r_spec(k).factors + t_spec(l).factors)
 
 
-def r_table(k: int, order: int) -> CountTable:
+def r_table(k: int, order: int) -> PowerSeries:
     """Counts of n as an ordered sum of k integer squares, n = 0..order."""
     if k < 1:
         raise ValueError(f"r_table requires k >= 1, got {k}")
-    return CountTable(expand(r_spec(k), order).coeffs)
+    return expand(r_spec(k), order)
 
 
-def t_table(k: int, order: int) -> CountTable:
+def t_table(k: int, order: int) -> PowerSeries:
     """Counts of n as an ordered sum of k triangular numbers."""
     if k < 1:
         raise ValueError(f"t_table requires k >= 1, got {k}")
-    return CountTable(expand(t_spec(k), order).coeffs)
+    return expand(t_spec(k), order)
 
 
-def u_table(k: int, l: int, order: int) -> CountTable:
+def u_table(k: int, l: int, order: int) -> PowerSeries:
     """Counts of n as k squares plus l triangular numbers, both ordered."""
     if k < 1 or l < 1:
         raise ValueError(f"u_table requires k, l >= 1, got k={k}, l={l}")
-    return CountTable(expand(u_spec(k, l), order).coeffs)
+    return expand(u_spec(k, l), order)
 
 
 def square_base(order: int) -> list[int]:
@@ -126,24 +116,22 @@ def _convolution_power(base: list[int], k: int) -> PowerSeries:
         square = multiply(square, square)
 
 
-def r_oracle(k: int, order: int) -> CountTable:
+def r_oracle(k: int, order: int) -> PowerSeries:
     """r_table oracle: k-th convolution power of the square indicator."""
     if k < 1:
         raise ValueError(f"r_oracle requires k >= 1, got {k}")
-    return CountTable(_convolution_power(square_base(order), k).coeffs)
+    return _convolution_power(square_base(order), k)
 
 
-def t_oracle(k: int, order: int) -> CountTable:
+def t_oracle(k: int, order: int) -> PowerSeries:
     """t_table oracle: k-th convolution power of the triangular indicator."""
     if k < 1:
         raise ValueError(f"t_oracle requires k >= 1, got {k}")
-    return CountTable(_convolution_power(triangular_base(order), k).coeffs)
+    return _convolution_power(triangular_base(order), k)
 
 
-def u_oracle(k: int, l: int, order: int) -> CountTable:
+def u_oracle(k: int, l: int, order: int) -> PowerSeries:
     """u_table oracle: product of the square and triangular power tables."""
     if k < 1 or l < 1:
         raise ValueError(f"u_oracle requires k, l >= 1, got k={k}, l={l}")
-    squares = _convolution_power(square_base(order), k)
-    triangulars = _convolution_power(triangular_base(order), l)
-    return CountTable(multiply(squares, triangulars).coeffs)
+    return multiply(r_oracle(k, order), t_oracle(l, order))

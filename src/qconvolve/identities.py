@@ -245,7 +245,7 @@ def _check_twin_r2(report, p, sums):
 def _prime_r2(primes, size: int) -> VerificationReport:
     # The twin check at p reads the sum at p + 2, so size > max(primes).
     report = VerificationReport("prime-r2")
-    sums = _weighted_sums(r_oracle(2, size).values, sigma_combination(size, _SQUARES_TERMS))
+    sums = _weighted_sums(r_oracle(2, size).coeffs, sigma_combination(size, _SQUARES_TERMS))
     for p in primes:
         report.mark(p)
         report.expect(p, sums[p], p - 1 if p % 4 == 1 else -p - 1)
@@ -317,7 +317,7 @@ def _t_prime_sums(k: int, inputs, size: int) -> VerificationReport:
     identity, start, value = _T_PRIME_SUMS[k]
     report = VerificationReport(identity)
     h = sigma_combination(size, _TRIANGULAR_TERMS)
-    sums = _weighted_sums(t_oracle(k, size).values, h, start)
+    sums = _weighted_sums(t_oracle(k, size).coeffs, h, start)
     for n in inputs:
         report.mark(n)
         report.expect(n, sums[n], value(n))

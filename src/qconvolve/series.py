@@ -48,6 +48,11 @@ class PowerSeries:
     def __len__(self) -> int:
         return len(self.coeffs)
 
+    @property
+    def values(self) -> tuple[int, ...]:
+        """Alias of coeffs: a count table's values g(0..N) are its coefficients."""
+        return self.coeffs
+
 
 @dataclass(frozen=True)
 class FactorSet:
@@ -94,6 +99,7 @@ class Factor:
 _FACTOR_RE = re.compile(r"(\d+)(?:n(?:-(\d+))?)?\^([+-]?\d+)\Z")
 
 
+@dataclass(frozen=True)
 class ProductSpec:
     """A finite product of progression factors.
 
@@ -102,10 +108,10 @@ class ProductSpec:
     leaves the constant product 1.
     """
 
-    __slots__ = ("factors",)
+    factors: tuple[Factor, ...]
 
-    def __init__(self, factors):
-        factors = tuple(factors)
+    def __post_init__(self):
+        factors = tuple(self.factors)
         if not factors:
             raise ValueError("a product spec needs at least one factor")
         # A dict keeps its keys in first-insertion order.
@@ -113,9 +119,10 @@ class ProductSpec:
         for f in factors:
             key = (f.index_set.modulus, f.index_set.offset)
             exponents[key] = exponents.get(key, 0) + f.exponent
-        self.factors = tuple(
+        merged = tuple(
             Factor(FactorSet(m, i), c) for (m, i), c in exponents.items() if c != 0
         )
+        object.__setattr__(self, "factors", merged)
 
     @classmethod
     def parse(cls, text: str) -> "ProductSpec":
@@ -128,16 +135,11 @@ class ProductSpec:
             match = _FACTOR_RE.match(part)
             if match is None:
                 raise ParseError(f"bad factor {part!r}: expected m[n[-i]]^c")
-            m = int(match.group(1))
-            i = int(match.group(2) or 0)
-            c = int(match.group(3))
-            if m < 1:
-                raise ParseError(f"bad factor {part!r}: modulus must be >= 1")
-            if i >= m:
-                raise ParseError(f"bad factor {part!r}: offset must be below the modulus")
-            if c == 0:
-                raise ParseError(f"bad factor {part!r}: exponent must be nonzero")
-            factors.append(Factor(FactorSet(m, i), c))
+            m, i, c = (int(g or 0) for g in match.groups())
+            try:
+                factors.append(Factor(FactorSet(m, i), c))
+            except ValueError as exc:
+                raise ParseError(f"bad factor {part!r}: {exc}") from exc
         return cls(factors)
 
     def to_json_dict(self) -> dict:
@@ -155,14 +157,6 @@ class ProductSpec:
             stem = f"{m}n" if i == 0 else f"{m}n-{i}"
             parts.append(f"{stem}^{f.exponent}")
         return ",".join(parts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProductSpec):
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash(self.factors)
 
     def __repr__(self) -> str:
         return f"ProductSpec({self.to_text()!r})"

@@ -61,10 +61,17 @@ def test_expand_json_matches_csv(capsys):
 
 
 def test_expand_parse_error_exit_code(capsys):
-    code, out, err = run(capsys, "expand", "--spec", "2x^1", "-N", "3")
-    assert code == 2
-    assert out == ""
-    assert err.strip().splitlines() == ["qconvolve: bad factor '2x^1': expected m[n[-i]]^c"]
+    # Grammar errors and the checks of FactorSet/Factor each name the factor.
+    for factor, reason in (
+        ("2x^1", "expected m[n[-i]]^c"),
+        ("0n^1", "modulus must be >= 1, got 0"),
+        ("3n-3^1", "offset must lie in [0, modulus), got offset=3, modulus=3"),
+        ("3n-1^0", "factor exponent must be nonzero"),
+    ):
+        code, out, err = run(capsys, "expand", "--spec", factor, "-N", "3")
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == [f"qconvolve: bad factor {factor!r}: {reason}"]
 
 
 def test_expand_prints_integers_of_any_size(capsys):

@@ -132,9 +132,14 @@ def test_count_tables_are_power_series():
     # r_2 r_2 = r_4 with no re-wrapping: a table passes straight to multiply.
     assert multiply(r_oracle(2, 200), r_oracle(2, 200)).coeffs == r_oracle(4, 200).values
     for table in (r_table(3, 40), t_table(5, 40), u_table(2, 3, 40)):
-        assert isinstance(table, PowerSeries)
+        assert type(table) is PowerSeries
         assert table.values == table.coeffs
         assert table.order == 40
+    assert type(r_oracle(2, 5)) is PowerSeries
+    # A table is its series: equal, and found in a set holding the series.
+    series = expand(ProductSpec.parse("1n^-4,2n^10,4n^-4"), 20)
+    assert r_table(2, 20) == series
+    assert r_table(2, 20) in {series}
 
 
 def test_oracles_power_by_squaring(monkeypatch):
@@ -201,6 +206,9 @@ def test_table_specs_have_the_paper_weights():
             assert weighted_divisor_sum(m, t_spec(k)) == k * triangular_weight(m)
         for k, l in grid:
             assert weighted_divisor_sum(m, u_spec(k, l)) == mixed_weight(m, k, l)
+    # u_spec merges r_spec(k) and t_spec(l) into one eta quotient.
+    for k, l in grid:
+        assert u_spec(k, l).to_text() == f"1n^{-(2 * k + l)},2n^{5 * k + 2 * l},4n^{-2 * k}"
 
 
 def test_invalid_parameters_rejected():

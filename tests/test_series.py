@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from random import Random
 
 import pytest
@@ -64,6 +65,15 @@ def test_product_spec_drops_cancelled_factors():
     assert spec.factors == ()
     assert list(expand(spec, 4)) == [1, 0, 0, 0, 0]
     assert list(oracle_expand(spec, 4)) == [1, 0, 0, 0, 0]
+
+
+def test_product_spec_is_frozen():
+    spec = ProductSpec.parse("1n^1")
+    before = hash(spec)
+    with pytest.raises(FrozenInstanceError):
+        spec.factors = ()
+    assert spec == ProductSpec.parse("1n^1")
+    assert hash(spec) == before
 
 
 def test_product_spec_requires_input():
