@@ -6,8 +6,8 @@ Data goes to stdout, diagnostics to stderr.  Each command returns its exit
 code and its whole output document, and main writes the document only
 after the command has returned, so a run that fails leaves stdout empty.
 Exit codes: 0 success or verification passed, 1 verification failed, 2
-usage or parse or precondition error (or a request too large for memory),
-3 internal divisibility violation.
+usage or parse or precondition error (or a request too large for memory or
+for an index), 3 internal divisibility violation.
 """
 
 from __future__ import annotations
@@ -208,9 +208,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"qconvolve: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
+    except (MemoryError, OverflowError) as exc:
         # Unwinding has freed what the command built, so printing can allocate.
-        print("qconvolve: out of memory: the request is too large", file=sys.stderr)
+        # A size past sys.maxsize overflows at its first list, before any work.
+        reason = str(exc) if isinstance(exc, OverflowError) else "out of memory"
+        print(f"qconvolve: {reason}: the request is too large", file=sys.stderr)
         return 2
     finally:
         sys.set_int_max_str_digits(digit_limit)

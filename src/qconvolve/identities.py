@@ -7,16 +7,17 @@ sigma sieve (divisor_sums.sigma_combination).  Every convolution sum of a
 verifier comes from one series.multiply of its count table and its weight
 table, indexed by the input.
 Failures are collected in reports rather than raised, so a full range can
-be surveyed in one pass.  Each range and positivity verifier takes its size
-as a keyword (limit, order, count, seed) with the README default; the CLI
-reads both the flags an identity accepts and their defaults from these
-signatures.
+be surveyed in one pass; a report passes only if it checked an input and
+nothing failed.  One check, _check_positive, decides every positivity
+claim.  Each range and positivity verifier takes its size as a keyword
+(limit, order, count, seed) with the README default; the CLI reads both the
+flags an identity accepts and their defaults from these signatures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 from .counts import r_oracle, t_oracle
 from .divisor_sums import divisors, sigma, sigma_combination, sigma_scaled
@@ -50,7 +51,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return bool(self.inputs_checked) and not self.failures
 
     def mark(self, value: int) -> None:
         self.inputs_checked.append(value)
@@ -373,6 +374,14 @@ def verify_t6_range(limit: int = 500) -> VerificationReport:
 # --- positivity ---
 
 
+def _check_positive(report, values, start: int, context: str = "") -> None:
+    """Add Failure(n, value, ">0 [context]") for each values[n], n >= start, not > 0."""
+    suffix = f" [{context}]" if context else ""
+    for n, value in islice(enumerate(values), start, None):
+        if value <= 0:
+            report.failures.append(Failure(n, str(value), ">0" + suffix))
+
+
 def R_combination(n: int) -> int:
     """4 sigma(n) - 4 sigma(n/2) + 8 sigma(n/4) - 32 sigma(n/8), always positive."""
     if n < 1:
@@ -394,9 +403,7 @@ def verify_R_positive(limit: int = 100_000) -> VerificationReport:
     # Filled only after sigma_combination has freed its sieve table, so that
     # at most two lists of limit ints are alive at once.
     report.inputs_checked.extend(range(1, limit + 1))
-    for n in range(1, limit + 1):
-        if values[n] <= 0:
-            report.failures.append(Failure(n, str(values[n]), ">0"))
+    _check_positive(report, values, 1)
     return report
 
 
@@ -443,16 +450,13 @@ def master_family_spec(params: MasterFamilyParams) -> ProductSpec:
 
 
 def verify_positivity(
-    spec: ProductSpec, order: int, identity: str = "positivity", context: str = ""
+    spec: ProductSpec, order: int, identity: str = "positivity"
 ) -> VerificationReport:
     """Expand the spec and record every index with coefficient <= 0."""
     report = VerificationReport(identity)
     series = expand(spec, order)
     report.inputs_checked.extend(range(order + 1))
-    suffix = f" [{context}]" if context else ""
-    for n, value in enumerate(series):
-        if value <= 0:
-            report.failures.append(Failure(n, str(value), ">0" + suffix))
+    _check_positive(report, series, 0)
     return report
 
 
@@ -485,11 +489,8 @@ def verify_master_positivity(order: int = 300) -> VerificationReport:
     """
     report = VerificationReport("master-positivity")
     for index, params in enumerate(master_positivity_cases()):
-        sub = verify_positivity(
-            master_family_spec(params), order, "master-positivity", params.describe()
-        )
         report.mark(index)
-        report.failures.extend(sub.failures)
+        _check_positive(report, expand(master_family_spec(params), order), 0, params.describe())
     return report
 
 

@@ -399,3 +399,30 @@ def test_out_of_memory_exits_2_with_one_line_and_empty_stdout():
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("qconvolve: ") and proc.stderr.count("\n") == 1
+
+
+HUGE = str(2**64)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--spec", "1n^1", "-N", HUGE),
+        ("counts", "--kind", "r", "--k", "2", "-N", HUGE),
+        ("counts", "--kind", "r", "--k", "2", "-N", HUGE, "--method", "oracle"),
+        ("counts", "--kind", "t", "--k", "4", "-N", HUGE),
+        ("counts", "--kind", "u", "--k", "1", "--l", "1", "-N", HUGE, "--method", "oracle"),
+        *(
+            ("verify", "--identity", name, "--max", HUGE)
+            for name in ("convolution", "R-positive", "prime-r2", "prime-r4r8", "t2-prime")
+        ),
+        ("verify", "--identity", "oracle-equivalence", "-N", HUGE),
+    ],
+)
+def test_size_past_an_index_exits_2_with_one_line(capsys, argv):
+    # Each of these sizes fails at its first list or range, before any work.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qconvolve: ") and err.endswith(": the request is too large\n")
+    assert err.count("\n") == 1

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
 
+from qconvolve import cli, identities
 from qconvolve.divisor_sums import (
     divisors,
     sigma,
@@ -44,10 +46,11 @@ from qconvolve.identities import (
     verify_series1_positivity,
     verify_t2_prime,
     verify_t4,
+    verify_t4_range,
     verify_t6,
 )
 from qconvolve.counts import r_oracle, t_oracle
-from qconvolve.series import ProductSpec, expand
+from qconvolve.series import PowerSeries, ProductSpec, expand
 
 
 def test_is_prime_and_sieve_agree():
@@ -169,8 +172,6 @@ def test_prime_r2_range_covers_twins():
 
 def test_prime_r2_range_checks_twins_straddling_the_limit(monkeypatch):
     # 11 < 13 <= 11 + 2: the range must still run the twin check at 11.
-    import qconvolve.identities as identities
-
     twins = []
     check = identities._check_twin_r2
 
@@ -234,8 +235,6 @@ def test_R_case_identity_for_multiples_of_eight():
 def test_verifier_divisor_sums_come_from_the_sieve():
     # Every term set the verifiers pass to sigma_combination, with the scalar
     # formula it stands for.
-    import qconvolve.identities as identities
-
     formulas = {
         identities._SQUARES_TERMS: squares_weight,
         identities._TRIANGULAR_TERMS: lambda n: sigma(n) - 4 * sigma_scaled(n, 2),
@@ -253,8 +252,6 @@ def test_verifiers_build_each_sum_table_once(monkeypatch):
     # All sums of a verifier come from one multiply per count table, however
     # many inputs its range holds.  prime-r4r8 also squares r_2 into r_4 and
     # r_4 into r_8, two more multiplies of a table by itself.
-    import qconvolve.identities as identities
-
     calls = []
     squarings = []
     real = identities.multiply
@@ -400,3 +397,72 @@ def test_report_json_schema():
         "passed": False,
     }
     json.dumps(data)  # must be serializable as-is
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: verify_prime_r2_range(2),
+        lambda: verify_t4_range(0),
+        lambda: verify_oracle_equivalence(count=0),
+    ],
+    ids=["prime-r2 below 2", "t4 below 0", "oracle-equivalence of 0 specs"],
+)
+def test_report_that_checked_nothing_does_not_pass(run):
+    report = run()
+    assert report.inputs_checked == [] and report.failures == []
+    assert not report.passed
+    assert report.to_json_dict()["passed"] is False
+
+
+# --- checks with teeth: each identity fails when one ingredient is wrong ---
+
+
+def _add_one(args, coeffs, j):
+    coeffs[j] += 1
+
+
+def _set_zero(args, coeffs, j):
+    # R-positive's strict inequality survives a +1, so cross zero instead.
+    coeffs[j] = 0
+
+
+def _add_one_to_h4(args, coeffs, j):
+    # convolution reads two sigma_combination tables; h4 is the r_4 / 8 one.
+    if args[1] == identities._R4_TERMS:
+        coeffs[j] += 1
+
+
+# identity -> (ingredient in qconvolve.identities, mutation of its result at j)
+MUTATIONS = {
+    "convolution": ("sigma_combination", _add_one_to_h4),
+    "prime-r2": ("r_oracle", _add_one),
+    "prime-r4r8": ("r_oracle", _add_one),
+    "t2-prime": ("t_oracle", _add_one),
+    "t4-prime": ("t_oracle", _add_one),
+    "t6-prime": ("t_oracle", _add_one),
+    "R-positive": ("sigma_combination", _set_zero),
+    "series1-positivity": ("expand", _set_zero),
+    "master-positivity": ("expand", _set_zero),
+    "oracle-equivalence": ("oracle_expand", _add_one),
+}
+
+
+@pytest.mark.parametrize("j", [1, 4, 9])
+@pytest.mark.parametrize("name", sorted(cli._RANGE_RUNNERS))
+def test_every_identity_fails_when_an_ingredient_is_wrong(monkeypatch, name, j):
+    ingredient, mutate = MUTATIONS[name]
+    original = getattr(identities, ingredient)
+
+    def mutated(*args, **kwargs):
+        result = original(*args, **kwargs)
+        coeffs = list(result)
+        mutate(args, coeffs, j)
+        return PowerSeries(tuple(coeffs)) if isinstance(result, PowerSeries) else coeffs
+
+    monkeypatch.setattr(identities, ingredient, mutated)
+    runner = cli._RANGE_RUNNERS[name]
+    size = {"limit": 60} if "limit" in inspect.signature(runner).parameters else {"order": 30}
+    report = runner(**size)
+    assert report.inputs_checked
+    assert not report.passed
