@@ -200,6 +200,7 @@ def main(argv=None) -> int:
     # Coefficients of any size print; callers in this process keep their limit.
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
+    too_large = None
     try:
         code, document = args.func(args)
     except DivisibilityViolation as exc:
@@ -209,13 +210,15 @@ def main(argv=None) -> int:
         print(f"qconvolve: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, OverflowError) as exc:
-        # Unwinding has freed what the command built, so printing can allocate.
         # A size past sys.maxsize overflows at its first list, before any work.
-        reason = str(exc) if isinstance(exc, OverflowError) else "out of memory"
-        print(f"qconvolve: {reason}: the request is too large", file=sys.stderr)
-        return 2
+        # The line is written after this block: until the block ends, the
+        # exception's traceback holds the failing frames and all they built.
+        too_large = str(exc) if isinstance(exc, OverflowError) else "out of memory"
     finally:
         sys.set_int_max_str_digits(digit_limit)
+    if too_large is not None:
+        print(f"qconvolve: {too_large}: the request is too large", file=sys.stderr)
+        return 2
     # The only write to stdout, after the whole document is built.
     sys.stdout.write(document)
     return code

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -426,3 +427,30 @@ def test_size_past_an_index_exits_2_with_one_line(capsys, argv):
     assert out == ""
     assert err.startswith("qconvolve: ") and err.endswith(": the request is too large\n")
     assert err.count("\n") == 1
+
+
+def test_out_of_memory_line_is_written_after_the_command_is_freed(monkeypatch):
+    # The failing command's frames, and what they hold, must be gone before
+    # the handler allocates for its message.
+    refs = []
+
+    class Built:
+        pass
+
+    def command(args):
+        built = Built()
+        refs.append(weakref.ref(built))
+        raise MemoryError
+
+    class Stderr:
+        text = ""
+
+        def write(self, text):
+            assert refs[0]() is None, "the command's frames are still alive"
+            self.text += text
+
+    stderr = Stderr()
+    monkeypatch.setattr(cli, "_cmd_expand", command)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["expand", "--spec", "1n^-1", "-N", "5"]) == 2
+    assert stderr.text == "qconvolve: out of memory: the request is too large\n"

@@ -50,7 +50,7 @@ from qconvolve.identities import (
     verify_t6,
 )
 from qconvolve.counts import r_oracle, t_oracle
-from qconvolve.series import PowerSeries, ProductSpec, expand
+from qconvolve.series import PowerSeries, ProductSpec, expand, oracle_expand
 
 
 def test_is_prime_and_sieve_agree():
@@ -337,6 +337,42 @@ def test_master_positivity_sweep_small_order():
     assert len(report.inputs_checked) == 156
 
 
+def test_master_members_match_expand_and_the_oracle():
+    # The members with a >= 2 are powers of their a = 1 member, and a spec
+    # that both readings share is built once: each must still be the spec's
+    # own expansion.
+    for order, reference in ((300, expand), (60, oracle_expand)):
+        members = list(identities._master_members(order))
+        assert [params for params, _ in members] == master_positivity_cases()
+        for params, series in members:
+            assert series == reference(master_family_spec(params), order), params.describe()
+
+
+def test_master_positivity_expands_each_a1_member_once(monkeypatch):
+    # 42 distinct a = 1 specs (52 cases, 10 with one offset shared by both
+    # readings) are expanded; a = 2 squares each, a = 3 multiplies once more.
+    expands, products, squarings = [], [], []
+    real_expand, real_multiply = identities.expand, identities.multiply
+
+    def spy_expand(spec, order):
+        expands.append(spec)
+        return real_expand(spec, order)
+
+    def spy_multiply(a, b):
+        (squarings if a is b else products).append(len(a))
+        return real_multiply(a, b)
+
+    monkeypatch.setattr(identities, "expand", spy_expand)
+    monkeypatch.setattr(identities, "multiply", spy_multiply)
+    for order in (30, 120):
+        for spied in (expands, products, squarings):
+            spied.clear()
+        report = verify_master_positivity(order)
+        assert report.passed and len(report.inputs_checked) == 156
+        assert len(expands) == len(set(expands)) == 42
+        assert len(squarings) == 42 and len(products) == 42
+
+
 def test_intro_families_positive():
     for a in (1, 2, 3):
         for offsets in ({0}, {1}, {0, 1}):
@@ -466,3 +502,22 @@ def test_every_identity_fails_when_an_ingredient_is_wrong(monkeypatch, name, j):
     report = runner(**size)
     assert report.inputs_checked
     assert not report.passed
+
+
+@pytest.mark.parametrize("j", [1, 4, 9])
+def test_master_positivity_fails_when_a_power_is_wrong(monkeypatch, j):
+    # The mutation above reaches only the a = 1 members, which expand builds;
+    # the members with a >= 2 come from multiply.
+    real = identities.multiply
+
+    def mutated(a, b):
+        coeffs = list(real(a, b))
+        coeffs[j] = 0
+        return PowerSeries(tuple(coeffs))
+
+    monkeypatch.setattr(identities, "multiply", mutated)
+    report = verify_master_positivity(order=30)
+    assert len(report.inputs_checked) == 156
+    assert not report.passed
+    assert {failure.input for failure in report.failures} == {j}
+    assert all(" [a=1," not in failure.rhs for failure in report.failures)
