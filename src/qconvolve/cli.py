@@ -108,9 +108,11 @@ def _closed_table(kind: str, k: int, order: int) -> list[int]:
     fn = _CLOSED_FORMS.get((kind, k))
     if fn is None:
         raise ValueError(f"no closed form for kind={kind}, k={k}")
-    if kind == "r":
-        return [1] + [fn(n) for n in range(1, order + 1)]
-    return [fn(n) for n in range(order + 1)]
+    # Sized before the first closed form; r_k(0) = 1 has none.
+    table = [1] * (order + 1)
+    for n in range(kind == "r", order + 1):
+        table[n] = fn(n)
+    return table
 
 
 def _cmd_counts(args) -> tuple[int, str]:

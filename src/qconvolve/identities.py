@@ -5,7 +5,10 @@ ingredients, never from the recursion under test: count values come from
 the convolution-power oracles, and the divisor-sum combinations from one
 sigma sieve (divisor_sums.sigma_combination).  Every convolution sum of a
 verifier comes from one series.multiply of its count table and its weight
-table, indexed by the input.
+table, indexed by the input.  A range takes its inputs, and prime-r2 its
+twin test, from one sieve (primes_below) sized before the first loop; the
+scalars (is_prime, the closed forms) serve single values, such as the
+precondition of a single-input verifier.
 Failures are collected in reports rather than raised, so a full range can
 be surveyed in one pass; a report passes only if it checked an input and
 nothing failed.  One check, _check_positive, decides every positivity
@@ -17,7 +20,7 @@ flags an identity accepts and their defaults from these signatures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 
 from .counts import r_oracle, t_oracle
 from .divisor_sums import divisors, sigma, sigma_combination, sigma_scaled
@@ -94,19 +97,21 @@ def primes_below(limit: int) -> list[int]:
     """All primes < limit, by sieve."""
     if limit <= 2:
         return []
-    flags = bytearray([1]) * limit
+    # Copied from bytes: out of memory, CPython 3.11's bytearray repeat also
+    # writes a stray SystemError line to stderr.
+    flags = bytearray(b"\x01" * limit)
     flags[0] = flags[1] = 0
     p = 2
     while p * p < limit:
         if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, limit, p)))
+            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
         p += 1
-    return [n for n in range(limit) if flags[n]]
+    return list(compress(range(limit), flags))
 
 
-def _require_prime(p: int, role: str = "p") -> None:
+def _require_prime(p: int) -> None:
     if not is_prime(p):
-        raise NotPrime(f"{role} = {p} is not prime")
+        raise NotPrime(f"p = {p} is not prime")
 
 
 def _require_odd_prime(p: int) -> None:
@@ -187,7 +192,7 @@ _SQUARES_TERMS = ((1, 1), (-5, 2), (4, 4))
 _TRIANGULAR_TERMS = ((1, 1), (-4, 2))
 # sigma(m) - 4 sigma(m/4), r_4 / 8:
 _R4_TERMS = ((1, 1), (-4, 4))
-# R_combination:
+# 4 sigma(m) - 4 sigma(m/2) + 8 sigma(m/4) - 32 sigma(m/8), R-positive's:
 _R_TERMS = ((4, 1), (-4, 2), (8, 4), (-32, 8))
 
 
@@ -247,10 +252,11 @@ def _prime_r2(primes, size: int) -> VerificationReport:
     # The twin check at p reads the sum at p + 2, so size > max(primes).
     report = VerificationReport("prime-r2")
     sums = _weighted_sums(r_oracle(2, size).coeffs, sigma_combination(size, _SQUARES_TERMS))
+    sieved = set(primes_below(size + 2))
     for p in primes:
         report.mark(p)
         report.expect(p, sums[p], p - 1 if p % 4 == 1 else -p - 1)
-        if is_prime(p + 2):
+        if p + 2 in sieved:
             _check_twin_r2(report, p, sums)
     return report
 
@@ -338,7 +344,9 @@ def verify_t2_prime(p: int) -> VerificationReport:
 
 def verify_t2_prime_range(limit: int = 500) -> VerificationReport:
     """verify_t2_prime over all p < limit with p and 4p + 1 prime."""
-    return _t_prime_sums(2, [p for p in primes_below(limit) if is_prime(4 * p + 1)], limit)
+    primes = primes_below(4 * limit)
+    prime_set = set(primes)
+    return _t_prime_sums(2, [p for p in primes if p < limit and 4 * p + 1 in prime_set], limit)
 
 
 def verify_t4(n: int) -> VerificationReport:
@@ -353,7 +361,7 @@ def verify_t4(n: int) -> VerificationReport:
 
 def verify_t4_range(limit: int = 500) -> VerificationReport:
     """verify_t4 over all n < limit with 2n + 1 prime."""
-    return _t_prime_sums(4, [n for n in range(1, limit) if is_prime(2 * n + 1)], limit)
+    return _t_prime_sums(4, [(q - 1) // 2 for q in primes_below(2 * limit) if q != 2], limit)
 
 
 def verify_t6(n: int) -> VerificationReport:
@@ -368,7 +376,7 @@ def verify_t6(n: int) -> VerificationReport:
 
 def verify_t6_range(limit: int = 500) -> VerificationReport:
     """verify_t6 over all n < limit with 4n + 3 prime."""
-    return _t_prime_sums(6, [n for n in range(limit) if is_prime(4 * n + 3)], limit)
+    return _t_prime_sums(6, [(q - 3) // 4 for q in primes_below(4 * limit) if q % 4 == 3], limit)
 
 
 # --- positivity ---
@@ -382,20 +390,8 @@ def _check_positive(report, values, start: int, context: str = "") -> None:
             report.failures.append(Failure(n, str(value), ">0" + suffix))
 
 
-def R_combination(n: int) -> int:
-    """4 sigma(n) - 4 sigma(n/2) + 8 sigma(n/4) - 32 sigma(n/8), always positive."""
-    if n < 1:
-        raise ValueError(f"R_combination requires n >= 1, got {n}")
-    return (
-        4 * sigma(n)
-        - 4 * sigma_scaled(n, 2)
-        + 8 * sigma_scaled(n, 4)
-        - 32 * sigma_scaled(n, 8)
-    )
-
-
 def verify_R_positive(limit: int = 100_000) -> VerificationReport:
-    """R_combination(n) > 0 for all n in [1, limit], via a sigma sieve."""
+    """The _R_TERMS combination is > 0 for all n in [1, limit], via a sigma sieve."""
     if limit < 1:
         raise ValueError(f"verify_R_positive requires limit >= 1, got {limit}")
     report = VerificationReport("R-positive")

@@ -21,7 +21,6 @@ from math import lcm
 from operator import add, mul
 from random import Random
 
-from .divisor_sums import divisors
 from .errors import ParseError, checked_div
 
 
@@ -74,10 +73,6 @@ class FactorSet:
     def least(self) -> int:
         """Smallest member, modulus - offset."""
         return self.modulus - self.offset
-
-    def __contains__(self, d: int) -> bool:
-        # For positive d the residue condition already forces d >= least.
-        return d >= 1 and d % self.modulus == (-self.offset) % self.modulus
 
     def elements(self, bound: int) -> range:
         """Members up to bound, ascending."""
@@ -162,24 +157,12 @@ class ProductSpec:
         return f"ProductSpec({self.to_text()!r})"
 
 
-def weighted_divisor_sum(k: int, spec: ProductSpec) -> int:
-    """Sum over factors of -c times the divisors of k lying in the factor's set.
-
-    This is the convolution weight of the expansion recursion at index k.
-    """
-    if k < 1:
-        raise ValueError(f"weighted_divisor_sum requires k >= 1, got {k}")
-    divs = divisors(k)
-    total = 0
-    for f in spec.factors:
-        index_set = f.index_set
-        in_set = sum(d for d in divs if d in index_set)
-        total -= f.exponent * in_set
-    return total
-
-
 def _weight_table(spec: ProductSpec, limit: int) -> list[int]:
-    """weighted_divisor_sum(k, spec) for k = 0..limit, by sieving multiples."""
+    """The recursion weights for k = 0..limit, by sieving multiples.
+
+    Weight k is the sum over factors of -c times the divisors of k in the
+    factor's set; weight 0 is 0.
+    """
     table = [0] * (limit + 1)
     for f in spec.factors:
         c = f.exponent
@@ -206,13 +189,12 @@ def _pentagonal(limit: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _over_eta(a: list[int], shifts: list[tuple[int, int]]) -> list[int]:
-    """a divided by (x^m;x^m)_inf, whose terms are shifts (m*g, sign) below len(a).
+def _over_eta(out: list[int], shifts: list[tuple[int, int]]) -> None:
+    """Divide out, in place, by (x^m;x^m)_inf, whose terms are shifts (m*g, sign).
 
-    Euler's recurrence out[n] = a[n] - sum_g sign_g * out[n - m*g]; each
-    out[n] reads only entries below it, so the recurrence runs in place.
+    Euler's recurrence out[n] -= sum_g sign_g * out[n - m*g]; each out[n]
+    reads only entries below it, already divided, so it runs in place.
     """
-    out = list(a)
     for n in range(1, len(out)):
         acc = out[n]
         for d, sign in shifts:
@@ -223,14 +205,13 @@ def _over_eta(a: list[int], shifts: list[tuple[int, int]]) -> list[int]:
             else:
                 acc += out[n - d]
         out[n] = acc
-    return out
 
 
 _LEAF = 64
 
 
-def _recursion(weights: list[int], order: int) -> list[int]:
-    """Coefficients 0..order of the product whose recursion weights are given.
+def _recursion(weights: list[int], coeffs: list[int]) -> None:
+    """Fill coeffs, [1, 0, ..., 0] on entry, with the product whose weights are given.
 
     Solves n * p(n) = sum_{k=1..n} weights[k] * p(n - k), p(0) = 1, online:
     p(n) is needed before the sums of later coefficients can be formed.  The
@@ -243,7 +224,7 @@ def _recursion(weights: list[int], order: int) -> list[int]:
     sum with a dot product over the block and divides it by n checked-exact;
     so every term enters its sum once.
     """
-    coeffs = [1] + [0] * order
+    order = len(coeffs) - 1
     sums = [0] * (order + 1)
     head = min(_LEAF, order)
     # reversed_head[head - d] is weights[d] for d = 1..head.
@@ -263,7 +244,6 @@ def _recursion(weights: list[int], order: int) -> list[int]:
         solve(mid, r)
 
     solve(0, order + 1)
-    return coeffs
 
 
 def expand(spec: ProductSpec, order: int) -> PowerSeries:
@@ -295,6 +275,8 @@ def expand(spec: ProductSpec, order: int) -> PowerSeries:
     """
     if order < 0:
         raise ValueError(f"expand requires order >= 0, got {order}")
+    # Sized before any loop, so an order too large for memory fails at once.
+    coeffs = [1] + [0] * order
     # sum c/m < 0, scaled by the moduli's lcm so it stays in integers.
     common = lcm(*(f.index_set.modulus for f in spec.factors))
     grows = sum(f.exponent * (common // f.index_set.modulus) for f in spec.factors) < 0
@@ -310,11 +292,10 @@ def expand(spec: ProductSpec, order: int) -> PowerSeries:
             divisions += [shifts] * -f.exponent
         else:
             rest.append(f)
-    coeffs = [1] + [0] * order
     if rest:
-        coeffs = _recursion(_weight_table(ProductSpec(rest), order), order)
+        _recursion(_weight_table(ProductSpec(rest), order), coeffs)
     for shifts in divisions:
-        coeffs = _over_eta(coeffs, shifts)
+        _over_eta(coeffs, shifts)
     return PowerSeries(tuple(coeffs))
 
 

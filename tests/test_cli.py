@@ -304,7 +304,11 @@ def test_usage_error_on_missing_subcommand():
 
 # --- every argv of a bounded grammar ends in one exit code and one document ---
 
-SIZES = st.integers(-3, 30).map(str)
+COUNTS = st.integers(-3, 30).map(str)
+# Two sizes past sys.maxsize: every flag but --count is sized before the
+# command loops, so these fail at once (a drawn --input fails its primality
+# precondition on a small factor first).
+SIZES = st.one_of(st.integers(-3, 30), st.sampled_from((2**63, 2**64))).map(str)
 FORMATS = st.lists(st.sampled_from(("csv", "json")), max_size=1).map(
     lambda fmt: ["--format", *fmt] if fmt else []
 )
@@ -344,7 +348,7 @@ def cli_argv(draw):
             st.lists(st.sampled_from(VERIFY_FLAGS), min_size=1, max_size=3, unique=True),
         )
         for flag in draw(flags):
-            argv += [flag, draw(SIZES)]
+            argv += [flag, draw(COUNTS if flag == "--count" else SIZES)]
     return argv + draw(FORMATS)
 
 
@@ -383,19 +387,24 @@ def test_every_argv_ends_in_one_exit_code_and_one_document(argv):
         assert_one_document(argv, out.getvalue())
 
 
-def test_out_of_memory_exits_2_with_one_line_and_empty_stdout():
-    # A child limited to 1 GiB of address space cannot hold 10^9 + 1
-    # coefficients; the limit applies to that child alone.
+def run_capped(args, timeout):
+    """Run python with args in a child limited to 1 GiB of address space."""
     resource = pytest.importorskip("resource")
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = {**os.environ, "PYTHONPATH": str(Path(qconvolve.__file__).parents[1])}
-    proc = subprocess.run(
-        (sys.executable, "-m", "qconvolve", "expand", "--spec", "1n^-1", "-N", "1000000000"),
-        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=60,
+    return subprocess.run(
+        (sys.executable, *args),
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=timeout,
     )
+
+
+def test_out_of_memory_exits_2_with_one_line_and_empty_stdout():
+    # The capped child cannot hold 10^9 + 1 coefficients.
+    argv = ("expand", "--spec", "1n^-1", "-N", "1000000000")
+    proc = run_capped(("-m", "qconvolve", *argv), timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -403,30 +412,69 @@ def test_out_of_memory_exits_2_with_one_line_and_empty_stdout():
 
 
 HUGE = str(2**64)
+PAST_AN_INDEX = [
+    ("expand", "--spec", "1n^1", "-N", HUGE),
+    ("counts", "--kind", "r", "--k", "2", "-N", HUGE),
+    ("counts", "--kind", "r", "--k", "2", "-N", HUGE, "--method", "oracle"),
+    ("counts", "--kind", "t", "--k", "4", "-N", HUGE),
+    ("counts", "--kind", "u", "--k", "1", "--l", "1", "-N", HUGE, "--method", "oracle"),
+    *(
+        ("verify", "--identity", name, "--max", HUGE)
+        for name in ("convolution", "R-positive", "prime-r2", "prime-r4r8", "t2-prime")
+    ),
+    ("verify", "--identity", "oracle-equivalence", "-N", HUGE),
+    *(("verify", "--identity", name, "--max", HUGE) for name in ("t4-prime", "t6-prime")),
+    *(
+        ("verify", "--identity", name, "-N", HUGE)
+        for name in ("series1-positivity", "master-positivity")
+    ),
+    ("expand", "--spec", "1n^-1", "-N", HUGE),
+    ("counts", "--kind", "t", "--k", "4", "-N", HUGE, "--method", "closed"),
+    ("counts", "--kind", "r", "--k", "8", "-N", str(2**63), "--method", "closed"),
+]
+# Below sys.maxsize: each range's prime sieve is larger than the child's cap.
+SIEVE_PAST_THE_CAP = [
+    ("verify", "--identity", name, "--max", str(10**12))
+    for name in ("prime-r2", "prime-r4r8", "t2-prime", "t4-prime", "t6-prime")
+]
+# Child script: main over each argv of the JSON list in sys.argv[1], printing
+# [exit code, stdout, stderr] for each.
+_RUN_EACH = """
+import contextlib, io, json, sys
+from qconvolve.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        runs.append([main(argv), out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("expand", "--spec", "1n^1", "-N", HUGE),
-        ("counts", "--kind", "r", "--k", "2", "-N", HUGE),
-        ("counts", "--kind", "r", "--k", "2", "-N", HUGE, "--method", "oracle"),
-        ("counts", "--kind", "t", "--k", "4", "-N", HUGE),
-        ("counts", "--kind", "u", "--k", "1", "--l", "1", "-N", HUGE, "--method", "oracle"),
-        *(
-            ("verify", "--identity", name, "--max", HUGE)
-            for name in ("convolution", "R-positive", "prime-r2", "prime-r4r8", "t2-prime")
-        ),
-        ("verify", "--identity", "oracle-equivalence", "-N", HUGE),
-    ],
-)
-def test_size_past_an_index_exits_2_with_one_line(capsys, argv):
-    # Each of these sizes fails at its first list or range, before any work.
-    code, out, err = run(capsys, *argv)
+@pytest.fixture(scope="module")
+def huge_runs():
+    # One capped, timed child runs them all: a command that loops before it
+    # sizes fails the test instead of hanging tier-1 or eating its memory.
+    argvs = PAST_AN_INDEX + SIEVE_PAST_THE_CAP
+    proc = run_capped(("-c", _RUN_EACH, json.dumps(argvs)), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    return dict(zip(argvs, json.loads(proc.stdout)))
+
+
+@pytest.mark.parametrize("argv", PAST_AN_INDEX)
+def test_size_past_an_index_exits_2_with_one_line(huge_runs, argv):
+    # Each command sizes its first list or range before it loops, so each of
+    # these sizes fails at once.
+    code, out, err = huge_runs[argv]
     assert code == 2
     assert out == ""
     assert err.startswith("qconvolve: ") and err.endswith(": the request is too large\n")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", SIEVE_PAST_THE_CAP)
+def test_prime_sieve_out_of_memory_exits_2_with_one_line(huge_runs, argv):
+    assert huge_runs[argv] == [2, "", "qconvolve: out of memory: the request is too large\n"]
 
 
 def test_out_of_memory_line_is_written_after_the_command_is_freed(monkeypatch):

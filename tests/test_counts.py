@@ -30,7 +30,7 @@ from qconvolve.divisor_sums import (
     sigma_odd,
     sigma_scaled,
 )
-from qconvolve.series import PowerSeries, ProductSpec, expand, multiply, weighted_divisor_sum
+from qconvolve.series import PowerSeries, ProductSpec, _weight_table, expand, multiply
 
 
 def brute_force_r(k, limit):
@@ -200,12 +200,16 @@ def test_table_specs_have_the_paper_weights():
     # The tables expand these specs, so their recursion weights must be the
     # paper's divisor-sum formulas.
     grid = [(k, l) for k in (1, 2, 3) for l in (1, 2, 4)]
-    for m in range(1, 1001):
-        for k in range(1, 5):
-            assert weighted_divisor_sum(m, r_spec(k)) == 2 * k * squares_weight(m)
-            assert weighted_divisor_sum(m, t_spec(k)) == k * triangular_weight(m)
-        for k, l in grid:
-            assert weighted_divisor_sum(m, u_spec(k, l)) == mixed_weight(m, k, l)
+    limit = 1000
+    for k in range(1, 5):
+        r_weights, t_weights = _weight_table(r_spec(k), limit), _weight_table(t_spec(k), limit)
+        for m in range(1, limit + 1):
+            assert r_weights[m] == 2 * k * squares_weight(m)
+            assert t_weights[m] == k * triangular_weight(m)
+    for k, l in grid:
+        u_weights = _weight_table(u_spec(k, l), limit)
+        for m in range(1, limit + 1):
+            assert u_weights[m] == mixed_weight(m, k, l)
     # u_spec merges r_spec(k) and t_spec(l) into one eta quotient.
     for k, l in grid:
         assert u_spec(k, l).to_text() == f"1n^{-(2 * k + l)},2n^{5 * k + 2 * l},4n^{-2 * k}"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+from math import isqrt
 
 import pytest
 
@@ -22,7 +23,6 @@ from qconvolve.errors import NotPrime, PreconditionNotMet
 from qconvolve.identities import (
     SERIES1_SPEC,
     MasterFamilyParams,
-    R_combination,
     VerificationReport,
     is_prime,
     kronecker_minus4,
@@ -45,9 +45,11 @@ from qconvolve.identities import (
     verify_R_positive,
     verify_series1_positivity,
     verify_t2_prime,
+    verify_t2_prime_range,
     verify_t4,
     verify_t4_range,
     verify_t6,
+    verify_t6_range,
 )
 from qconvolve.counts import r_oracle, t_oracle
 from qconvolve.series import PowerSeries, ProductSpec, expand, oracle_expand
@@ -188,6 +190,40 @@ def test_prime_r2_range_checks_twins_straddling_the_limit(monkeypatch):
     assert in_range == twins == [3, 5, 11]
 
 
+def brute_force_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+# range verifier -> the inputs below its limit that it must check
+RANGE_INPUTS = {
+    verify_prime_r2_range: lambda n: n % 2 == 1 and brute_force_is_prime(n),
+    verify_t2_prime_range: lambda n: brute_force_is_prime(n) and brute_force_is_prime(4 * n + 1),
+    verify_t4_range: lambda n: brute_force_is_prime(2 * n + 1),
+    verify_t6_range: lambda n: brute_force_is_prime(4 * n + 3),
+}
+
+
+@pytest.mark.parametrize("run", RANGE_INPUTS, ids=lambda run: run.__name__)
+def test_range_inputs_come_from_the_sieve(monkeypatch, run):
+    # Every limit up to 399 checks exactly the filtered inputs, and no input
+    # is trial-divided: is_prime is left to the single-input preconditions.
+    calls = []
+    real = identities.is_prime
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(identities, "is_prime", spy)
+    qualifies = RANGE_INPUTS[run]
+    for limit in range(400):
+        report = run(limit)
+        expected = [n for n in range(limit) if qualifies(n)]
+        assert report.inputs_checked == expected, limit
+        assert report.passed == bool(expected), limit
+    assert calls == []
+
+
 def test_prime_r4_r8_example():
     report = verify_prime_r4_r8(3)
     assert report.passed
@@ -214,15 +250,21 @@ def test_t_verifiers_enforce_preconditions():
         verify_t6(3)  # 4n + 3 = 15
 
 
+def R_combination(n):
+    """4 sigma(n) - 4 sigma(n/2) + 8 sigma(n/4) - 32 sigma(n/8), by trial division."""
+    return 4 * sigma(n) - 4 * sigma_scaled(n, 2) + 8 * sigma_scaled(n, 4) - 32 * sigma_scaled(n, 8)
+
+
 def test_R_combination_values():
-    assert R_combination(1) == 4
-    assert R_combination(2) == 8
-    assert R_combination(8) == 24
+    values = sigma_combination(8, identities._R_TERMS)
+    for n, expected in ((1, 4), (2, 8), (8, 24)):
+        assert values[n] == R_combination(n) == expected
 
 
 def test_R_combination_positive_midrange():
+    values = sigma_combination(2000, identities._R_TERMS)
     for n in range(1, 2001):
-        assert R_combination(n) > 0
+        assert values[n] == R_combination(n) > 0
 
 
 def test_R_case_identity_for_multiples_of_eight():
