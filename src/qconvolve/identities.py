@@ -483,7 +483,9 @@ def _master_members(order: int):
     The member for a is the a-th power of the a = 1 member of the same b, I
     and reading, so only a = 1 members are expanded; the member for a >= 2 is
     multiply(member for a - 1, member for 1).  Each distinct spec is built
-    once: with one offset the two readings are the same spec.
+    once: with one offset the two readings are the same spec.  The cases run
+    a-major and a = 3 is the last power, so building an a = 3 member frees
+    its a = 2 and a = 1 members.
     """
     members = {}
     for params in master_positivity_cases():
@@ -495,6 +497,8 @@ def _master_members(order: int):
                 previous = master_family_spec(replace(params, a=params.a - 1))
                 first = master_family_spec(replace(params, a=1))
                 members[spec] = multiply(members[previous], members[first])
+                if params.a == 3:
+                    del members[previous], members[first]
         yield params, members[spec]
 
 

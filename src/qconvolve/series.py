@@ -6,11 +6,12 @@ is the log-derivative recursion: n * p(n) is a convolution of earlier
 coefficients against weighted divisor sums, formed by divide and conquer
 through multiply and divided by n checked-exact.  In a spec whose
 coefficients grow, expand divides out each negative eta factor
-(x^m;x^m)^c by Euler's pentagonal recurrence instead; expand documents
-the rule.  An independent oracle expands the same product by plain
-polynomial multiplication and division.  multiply, the one dense product
-of two series, packs each operand into a big int (Kronecker substitution)
-and multiplies once.
+(x^m;x^m)^c by Euler's pentagonal recurrence instead, with additions only,
+gathered once per run of live shifts; expand documents the rule.  An
+independent oracle expands the same product by plain polynomial
+multiplication and division.  multiply, the one dense product of two
+series, packs each operand into a big int (Kronecker substitution) and
+multiplies once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 from random import Random
 
 from .errors import ParseError, checked_div
@@ -192,19 +193,27 @@ def _pentagonal(limit: int) -> list[tuple[int, int]]:
 def _over_eta(out: list[int], shifts: list[tuple[int, int]]) -> None:
     """Divide out, in place, by (x^m;x^m)_inf, whose terms are shifts (m*g, sign).
 
-    Euler's recurrence out[n] -= sum_g sign_g * out[n - m*g]; each out[n]
-    reads only entries below it, already divided, so it runs in place.
+    Euler's recurrence p(n) = out[n] - sum_g sign_g * p(n - m*g), additions
+    only.  Between two consecutive shifts the same terms are live for every
+    n, so each such run builds one itemgetter that gathers them and one sum
+    forms each p(n) at C speed.  done holds a 0 sentinel and then each p(n)
+    beside its negation: with p(0..n-1) in it, done[-2d] is p(n - d) and
+    done[1 - 2d] is -p(n - d), so one gather serves both signs.
     """
-    for n in range(1, len(out)):
-        acc = out[n]
-        for d, sign in shifts:
-            if d > n:
-                break
-            if sign > 0:
-                acc -= out[n - d]
-            else:
-                acc += out[n - d]
-        out[n] = acc
+    bounds = [d for d, _ in shifts] + [len(out)]
+    done = [0]
+    # Before the first shift no term is live.
+    for value in out[: bounds[0]]:
+        done += (value, -value)
+    live = []
+    for (d, sign), stop in zip(shifts, bounds[1:]):
+        live.append(1 - 2 * d if sign > 0 else -2 * d)
+        # With one index itemgetter returns a bare item; the sentinel pads it.
+        take = itemgetter(*live) if len(live) > 1 else itemgetter(*live, 0)
+        for value in out[d:stop]:
+            value = sum(take(done), value)
+            done += (value, -value)
+    out[:] = done[1::2]
 
 
 _LEAF = 64
@@ -370,11 +379,12 @@ def random_spec_corpus(count: int, seed: int = 0, max_modulus: int = 8) -> list[
     """
     rng = Random(seed)
     exponents = [c for c in range(-5, 6) if c]
-    corpus = []
-    for _ in range(count):
+    # Sized before the loop, so a count too large for memory fails at once.
+    corpus = [None] * count
+    for index in range(count):
         factors = []
         for _ in range(rng.randint(1, 4)):
             m = rng.randint(1, max_modulus)
             factors.append(Factor(FactorSet(m, rng.randint(0, m - 1)), rng.choice(exponents)))
-        corpus.append(ProductSpec(factors))
+        corpus[index] = ProductSpec(factors)
     return corpus

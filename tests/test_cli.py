@@ -304,10 +304,9 @@ def test_usage_error_on_missing_subcommand():
 
 # --- every argv of a bounded grammar ends in one exit code and one document ---
 
-COUNTS = st.integers(-3, 30).map(str)
-# Two sizes past sys.maxsize: every flag but --count is sized before the
-# command loops, so these fail at once (a drawn --input fails its primality
-# precondition on a small factor first).
+# Two sizes past sys.maxsize: every flag, --count included, is sized before
+# the command loops, so these fail at once (a drawn --input fails its
+# primality precondition on a small factor first).
 SIZES = st.one_of(st.integers(-3, 30), st.sampled_from((2**63, 2**64))).map(str)
 FORMATS = st.lists(st.sampled_from(("csv", "json")), max_size=1).map(
     lambda fmt: ["--format", *fmt] if fmt else []
@@ -348,7 +347,7 @@ def cli_argv(draw):
             st.lists(st.sampled_from(VERIFY_FLAGS), min_size=1, max_size=3, unique=True),
         )
         for flag in draw(flags):
-            argv += [flag, draw(COUNTS if flag == "--count" else SIZES)]
+            argv += [flag, draw(SIZES)]
     return argv + draw(FORMATS)
 
 
@@ -431,6 +430,7 @@ PAST_AN_INDEX = [
     ("expand", "--spec", "1n^-1", "-N", HUGE),
     ("counts", "--kind", "t", "--k", "4", "-N", HUGE, "--method", "closed"),
     ("counts", "--kind", "r", "--k", "8", "-N", str(2**63), "--method", "closed"),
+    ("verify", "--identity", "oracle-equivalence", "--count", HUGE, "-N", "5"),
 ]
 # Below sys.maxsize: each range's prime sieve is larger than the child's cap.
 SIEVE_PAST_THE_CAP = [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import weakref
 from math import isqrt
 
 import pytest
@@ -413,6 +414,26 @@ def test_master_positivity_expands_each_a1_member_once(monkeypatch):
         assert report.passed and len(report.inputs_checked) == 156
         assert len(expands) == len(set(expands)) == 42
         assert len(squarings) == 42 and len(products) == 42
+
+
+def test_master_members_free_their_lower_powers():
+    # Building an a = 3 member frees its a = 2 and a = 1 members, so when the
+    # last case is yielded only the 42 distinct a = 3 members are alive, not
+    # all 126 distinct members; once the generator ends none is.
+    cases = master_positivity_cases()
+    members = identities._master_members(30)
+    refs = {}
+    for _ in cases:
+        params, series = next(members)
+        refs.setdefault(master_family_spec(params), weakref.ref(series))
+    del params, series
+    alive = {spec for spec, ref in refs.items() if ref() is not None}
+    assert len(refs) == 126
+    assert alive == {master_family_spec(params) for params in cases if params.a == 3}
+    assert len(alive) == 42
+    with pytest.raises(StopIteration):
+        next(members)
+    assert all(ref() is None for ref in refs.values())
 
 
 def test_intro_families_positive():

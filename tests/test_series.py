@@ -243,6 +243,66 @@ def test_expand_routes_eta_factors_by_cost(monkeypatch, sign):
     assert not steps
 
 
+def over_eta_reference(out, shifts):
+    """Euler's recurrence in place, one coefficient and one shift at a time."""
+    for n in range(1, len(out)):
+        acc = out[n]
+        for d, sign in shifts:
+            if d > n:
+                break
+            if sign > 0:
+                acc -= out[n - d]
+            else:
+                acc += out[n - d]
+        out[n] = acc
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_over_eta_matches_the_per_coefficient_loop(m):
+    # Every order 0..130 puts the end of the list at d - 1, d and d + 1 for
+    # each shift d below it, so every run boundary is crossed; 2000 runs long
+    # runs.  Coefficients are signed, some far past 2^64, and out[0] is not
+    # always 1.
+    rng = Random(m)
+    for order in (*range(131), 2000):
+        shifts = [(m * g, sign) for g, sign in series._pentagonal(order // m)]
+        bits = rng.choice((3, 70, 400))
+        out = [rng.randint(-(1 << bits), 1 << bits) for _ in range(order + 1)]
+        if rng.random() < 0.5:
+            out[0] = 1
+        expected = list(out)
+        over_eta_reference(expected, shifts)
+        assert series._over_eta(out, shifts) is None
+        assert out == expected, (m, order)
+
+
+@pytest.mark.parametrize(
+    "text, firsts",
+    [(SERIES1.to_text(), {4: 4, 1: 32}), ("1n^-3,5n-1^3,5n-2^3", {1: 18})],
+)
+def test_expand_matches_oracle_where_each_division_starts(monkeypatch, text, firsts):
+    # An eta factor of a growing spec is divided out from the first order at
+    # which it has a shift and fits the cost cap: series-1's (x^4;x^4)^-2 from
+    # order 4, its first shift, and (x;x)^-4 from 32, where 4 * T(32) = 32;
+    # the master member's (x;x)^-3 from 18, where 3 * T(18) = 18.  Just
+    # below, at and just above each, expand must equal the oracle.
+    first_shifts = []
+    over_eta = series._over_eta
+
+    def spy(out, shifts):
+        first_shifts.append(shifts[0][0])
+        return over_eta(out, shifts)
+
+    monkeypatch.setattr(series, "_over_eta", spy)
+    spec = ProductSpec.parse(text)
+    oracle = oracle_expand(spec, max(firsts.values()) + 1)
+    for m, first in firsts.items():
+        for order in (first - 1, first, first + 1):
+            first_shifts.clear()
+            assert expand(spec, order).coeffs == oracle.coeffs[: order + 1]
+            assert (m in first_shifts) == (order >= first), (m, order)
+
+
 @pytest.mark.parametrize(
     "spec",
     [r_spec(4), t_spec(6), u_spec(2, 3), ProductSpec.parse("1n^-3,5n-1^3,5n-3^3"), SERIES1],
