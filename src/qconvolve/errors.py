@@ -19,10 +19,6 @@ class PreconditionNotMet(ValueError):
     """A verifier input fails its stated arithmetic precondition."""
 
 
-class NotPrime(PreconditionNotMet):
-    """An input required to be prime is composite or below 2."""
-
-
 def checked_div(total: int, n: int) -> int:
     """Exact integer division; raises DivisibilityViolation on a remainder."""
     q, r = divmod(total, n)

@@ -24,7 +24,7 @@ from itertools import combinations, compress, islice
 
 from .counts import r_oracle, t_oracle
 from .divisor_sums import divisors, sigma, sigma_combination, sigma_scaled
-from .errors import DivisibilityViolation, NotPrime, PreconditionNotMet, checked_div
+from .errors import DivisibilityViolation, PreconditionNotMet, checked_div
 from .series import (
     Factor,
     FactorSet,
@@ -109,13 +109,13 @@ def primes_below(limit: int) -> list[int]:
     return list(compress(range(limit), flags))
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise NotPrime(f"p = {p} is not prime")
+def _require_prime(value: int, name: str) -> None:
+    if not is_prime(value):
+        raise PreconditionNotMet(f"{name} = {value} is not prime")
 
 
 def _require_odd_prime(p: int) -> None:
-    _require_prime(p)
+    _require_prime(p, "p")
     if p == 2:
         raise PreconditionNotMet("p must be an odd prime, got 2")
 
@@ -336,9 +336,8 @@ def verify_t2_prime(p: int) -> VerificationReport:
 
     Requires both p and 4p + 1 prime.
     """
-    _require_prime(p)
-    if not is_prime(4 * p + 1):
-        raise PreconditionNotMet(f"4p + 1 = {4 * p + 1} is not prime")
+    _require_prime(p, "p")
+    _require_prime(4 * p + 1, "4p + 1")
     return _t_prime_sums(2, [p], p - 1)
 
 
@@ -354,8 +353,7 @@ def verify_t4(n: int) -> VerificationReport:
 
     Requires 2n + 1 prime.
     """
-    if not is_prime(2 * n + 1):
-        raise PreconditionNotMet(f"2n + 1 = {2 * n + 1} is not prime")
+    _require_prime(2 * n + 1, "2n + 1")
     return _t_prime_sums(4, [n], n)
 
 
@@ -369,8 +367,7 @@ def verify_t6(n: int) -> VerificationReport:
 
     Requires 4n + 3 prime; n = 0 qualifies and checks the empty sum.
     """
-    if not is_prime(4 * n + 3):
-        raise PreconditionNotMet(f"4n + 3 = {4 * n + 3} is not prime")
+    _require_prime(4 * n + 3, "4n + 3")
     return _t_prime_sums(6, [n], n)
 
 

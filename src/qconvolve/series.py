@@ -11,7 +11,8 @@ gathered once per run of live shifts; expand documents the rule.  An
 independent oracle expands the same product by plain polynomial
 multiplication and division.  multiply, the one dense product of two
 series, packs each operand into a big int (Kronecker substitution) and
-multiplies once.
+multiplies once; every slot holds its coefficient plus half the slot's
+range, both when packing and when unpacking.
 """
 
 from __future__ import annotations
@@ -198,18 +199,18 @@ def _over_eta(out: list[int], shifts: list[tuple[int, int]]) -> None:
     n, so each such run builds one itemgetter that gathers them and one sum
     forms each p(n) at C speed.  done holds a 0 sentinel and then each p(n)
     beside its negation: with p(0..n-1) in it, done[-2d] is p(n - d) and
-    done[1 - 2d] is -p(n - d), so one gather serves both signs.
+    done[1 - 2d] is -p(n - d), so one gather serves both signs.  Every
+    gather also reads the sentinel, index 0, so it returns a tuple and adds 0.
     """
     bounds = [d for d, _ in shifts] + [len(out)]
     done = [0]
     # Before the first shift no term is live.
     for value in out[: bounds[0]]:
         done += (value, -value)
-    live = []
+    live = [0]
     for (d, sign), stop in zip(shifts, bounds[1:]):
         live.append(1 - 2 * d if sign > 0 else -2 * d)
-        # With one index itemgetter returns a bare item; the sentinel pads it.
-        take = itemgetter(*live) if len(live) > 1 else itemgetter(*live, 0)
+        take = itemgetter(*live)
         for value in out[d:stop]:
             value = sum(take(done), value)
             done += (value, -value)
@@ -333,17 +334,6 @@ def oracle_expand(spec: ProductSpec, order: int) -> PowerSeries:
     return PowerSeries(tuple(out))
 
 
-def _pack(coeffs, width: int) -> int:
-    """Signed coefficients as one int, coefficient i in bytes [i*width, (i+1)*width)."""
-    zero = bytes(width)
-    positive = b"".join([c.to_bytes(width, "little") if c > 0 else zero for c in coeffs])
-    value = int.from_bytes(positive, "little")
-    if min(coeffs) < 0:
-        negative = b"".join([(-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs])
-        value -= int.from_bytes(negative, "little")
-    return value
-
-
 def multiply(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Cauchy product truncated to the smaller order.
 
@@ -351,9 +341,11 @@ def multiply(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     slot of w bytes per coefficient, so a single big-int multiplication
     (CPython's Karatsuba) forms every convolution sum at once.  Every
     product coefficient c has |c| <= max|a| * max|b| * (order + 1) <
-    2^(8w-1), so adding a bias of 2^(8w-1) to each slot makes all slots
-    nonnegative and carry-free; the low order + 1 slots are then read back
-    minus the bias.
+    half = 2^(8w-1), and so does every operand coefficient.  So every slot
+    holds its coefficient plus half, both when packing and when unpacking,
+    and is nonnegative and carry-free: an operand packs as its slots minus
+    the bias, one half per slot, and the low order + 1 slots of the product
+    plus the bias are read back minus half.
     """
     order = min(a.order, b.order)
     size = order + 1
@@ -365,7 +357,11 @@ def multiply(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     width = bound.bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-    low = (_pack(first, width) * _pack(second, width) + bias) & ((1 << (8 * width * size)) - 1)
+    packed_a, packed_b = (
+        int.from_bytes(b"".join([(c + half).to_bytes(width, "little") for c in coeffs]), "little") - bias
+        for coeffs in (first, second)
+    )
+    low = (packed_a * packed_b + bias) & ((1 << (8 * width * size)) - 1)
     data = low.to_bytes(width * size, "little")
     slots = range(0, width * size, width)
     return PowerSeries(tuple([int.from_bytes(data[i : i + width], "little") - half for i in slots]))

@@ -13,7 +13,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qconvolve
 from qconvolve import cli
@@ -184,6 +184,22 @@ def test_verify_composite_input_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "not prime" in err
+
+
+@pytest.mark.parametrize(
+    "identity, value, message",
+    [
+        ("prime-r2", "9", "p = 9 is not prime"),
+        ("prime-r2", "2", "p must be an odd prime, got 2"),
+        ("t2-prime", "4", "p = 4 is not prime"),
+        ("t2-prime", "2", "4p + 1 = 9 is not prime"),
+        ("t4-prime", "4", "2n + 1 = 9 is not prime"),
+        ("t6-prime", "3", "4n + 3 = 15 is not prime"),
+    ],
+)
+def test_verify_rejected_input_prints_its_precondition(capsys, identity, value, message):
+    code, out, err = run(capsys, "verify", "--identity", identity, "--input", value)
+    assert (code, out, err) == (2, "", f"qconvolve: {message}\n")
 
 
 def test_verify_unknown_identity(capsys):
@@ -371,6 +387,11 @@ def assert_one_document(argv, out):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(cli_argv())
+# The drawn --count only ever goes to identities that reject it.  The last
+# exits 2 at once: the corpus list is sized before the loop.
+@example(["verify", "--identity", "oracle-equivalence", "--count", "3", "-N", "5"])
+@example(["verify", "--identity", "oracle-equivalence", "--count", "0", "-N", "5"])
+@example(["verify", "--identity", "oracle-equivalence", "--count", str(2**64), "-N", "5"])
 def test_every_argv_ends_in_one_exit_code_and_one_document(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import re
 import weakref
 from math import isqrt
 
@@ -20,7 +21,7 @@ from qconvolve.divisor_sums import (
     sigma_star,
     sigma_star_scaled,
 )
-from qconvolve.errors import NotPrime, PreconditionNotMet
+from qconvolve.errors import PreconditionNotMet
 from qconvolve.identities import (
     SERIES1_SPEC,
     MasterFamilyParams,
@@ -43,6 +44,7 @@ from qconvolve.identities import (
     verify_prime_r2,
     verify_prime_r2_range,
     verify_prime_r4_r8,
+    verify_prime_r4_r8_range,
     verify_R_positive,
     verify_series1_positivity,
     verify_t2_prime,
@@ -160,10 +162,15 @@ def test_prime_r2_examples():
         assert total == expected
 
 
+def rejects(message):
+    """pytest.raises for PreconditionNotMet with exactly this message."""
+    return pytest.raises(PreconditionNotMet, match=f"^{re.escape(message)}$")
+
+
 def test_prime_r2_rejects_bad_input():
-    with pytest.raises(NotPrime):
+    with rejects("p = 9 is not prime"):
         verify_prime_r2(9)
-    with pytest.raises(PreconditionNotMet):
+    with rejects("p must be an odd prime, got 2"):
         verify_prime_r2(2)
 
 
@@ -241,14 +248,38 @@ def test_t_verifier_examples():
 
 
 def test_t_verifiers_enforce_preconditions():
-    with pytest.raises(NotPrime):
+    with rejects("p = 4 is not prime"):
         verify_t2_prime(4)
-    with pytest.raises(PreconditionNotMet):
-        verify_t2_prime(2)  # 4p + 1 = 9
-    with pytest.raises(PreconditionNotMet):
-        verify_t4(4)  # 2n + 1 = 9
-    with pytest.raises(PreconditionNotMet):
-        verify_t6(3)  # 4n + 3 = 15
+    with rejects("4p + 1 = 9 is not prime"):
+        verify_t2_prime(2)
+    with rejects("2n + 1 = 9 is not prime"):
+        verify_t4(4)
+    with rejects("4n + 3 = 15 is not prime"):
+        verify_t6(3)
+
+
+@pytest.mark.parametrize(
+    "single, run",
+    [
+        (verify_prime_r2, verify_prime_r2_range),
+        (verify_prime_r4_r8, verify_prime_r4_r8_range),
+        (verify_t2_prime, verify_t2_prime_range),
+        (verify_t4, verify_t4_range),
+        (verify_t6, verify_t6_range),
+    ],
+    ids=lambda verifier: verifier.__name__,
+)
+def test_single_input_accepts_exactly_the_range_inputs(single, run):
+    # The precondition of a single-input verifier admits x exactly when the
+    # range verifier checks x, and then checks x alone and passes.
+    checked = set(run(401).inputs_checked)
+    for x in range(-3, 401):
+        if x in checked:
+            report = single(x)
+            assert report.passed and report.inputs_checked == [x], x
+        else:
+            with pytest.raises(PreconditionNotMet):
+                single(x)
 
 
 def R_combination(n):

@@ -436,6 +436,11 @@ def operand_pairs(draw):
 @example(([-8, -8], [8, 8]))
 @example(([5], [-3]))
 @example(([0] * 41, [2**200] * 41))
+# An operand, not the product, at the slot edge: c + half nears 0 or 2 * half.
+@example(([127], [1]))
+@example(([-127], [1]))
+@example(([2**64 - 1], [-1]))
+@example(([-(2**200)], [1, 1]))
 def test_multiply_matches_the_double_sum(pair):
     a, b = pair
     product = multiply(PowerSeries(tuple(a)), PowerSeries(tuple(b)))
