@@ -8,11 +8,12 @@ sum is supported on positive integers only).
 Every scalar function is a pure function of its arguments, computed by
 trial division up to sqrt(n).  Bulk values come from one multiplicative
 sieve, sigma_table (a prime factor per n, then one O(N) pass), and
-sigma_combination for sums of scaled sigma terms.
+sigma_combination for sums of scaled sigma terms, both as array('q').
 """
 
 from __future__ import annotations
 
+from array import array
 from math import isqrt
 
 
@@ -98,44 +99,60 @@ def sigma_star_scaled(n: int, m: int) -> int:
     return sigma_star(q) if r == 0 else 0
 
 
-def sigma_table(limit: int) -> list[int]:
+def sigma_table(limit: int) -> array:
     """sigma(0..limit) by a prime-factor sieve and one multiplicative pass.
 
-    Index 0 carries the sigma(0) = 1 convention.  Slice assignments give
-    every composite n a prime factor p (0 marks a prime, which is its own);
-    one pass in increasing n then applies, with m = n/p,
-        sigma(n) = (p+1) sigma(m) - p sigma(m/p)   when p divides m,
-        sigma(n) = (p+1) sigma(m)                  otherwise,
-    which holds for any prime factor p.  Bulk companion to sigma for range
-    verifications; agreement with sigma is part of the test suite.
+    Index 0 carries the sigma(0) = 1 convention.  Slice assignments mark
+    each composite n in the table with a prime factor p, as -p when p^2
+    divides n (0 marks a prime); one pass in increasing n then replaces each
+    mark by sigma(n) = (p+1) sigma(n/p), less p sigma(n/p^2) when p^2 | n,
+    reading only entries it has already filled.  The array('q') takes 8 bytes
+    an entry, and sigma(n) < 2^59 below limit 2^50 (an 8 PB table); a value
+    past 2^63 raises, never wraps.  The tests check it against sigma.
     """
     if limit < 0:
         raise ValueError(f"sigma_table requires limit >= 0, got {limit}")
-    factor = [0] * (limit + 1)
+    table = array("q", [0]) * (limit + 1)
     for p in range(2, isqrt(limit) + 1):
         # A composite p was marked by a smaller prime q with q * q <= p.
-        if not factor[p]:
-            factor[p * p :: p] = [p] * ((limit - p * p) // p + 1)
-    table = [1] * (limit + 1)
-    for n in range(2, limit + 1):
-        p = factor[n] or n
-        m = n // p
-        if m % p:
-            table[n] = (p + 1) * table[m]
-        else:
-            table[n] = (p + 1) * table[m] - p * table[m // p]
+        if not table[p]:
+            table[p * p :: p] = array("q", [p]) * ((limit - p * p) // p + 1)
+            table[p * p :: p * p] = array("q", [-p]) * (limit // (p * p))
+    table[:2] = array("q", [1, 1][: limit + 1])  # sigma(0) and sigma(1)
+    # A memoryview stores an int faster than array's own item assignment.
+    with memoryview(table) as view:
+        for n in range(2, limit + 1):
+            p = view[n]
+            if p > 0:
+                view[n] = (p + 1) * view[n // p]
+            elif p:
+                m = n // -p
+                view[n] = (1 - p) * view[m] + p * view[m // -p]
+            else:
+                view[n] = n + 1
     return table
 
 
-def sigma_combination(limit: int, terms) -> list[int]:
+_BLOCK = 4096
+
+
+def sigma_combination(limit: int, terms) -> array:
     """Sum of c * sigma(n/m) over the (c, m) terms, for n = 0..limit.
 
     Index 0 is 0.  Every term reads the same sigma_table; sigma(n/m)
-    contributes only when m divides n.
+    contributes only when m divides n.  Each block of _BLOCK sums is packed
+    into the array('q') returned.  The package's term sets keep |sum| <= 48
+    sigma(n) < 2^59 below limit 2^50; a sum past 2^63 raises OverflowError.
     """
     table = sigma_table(limit)
-    out = [0] * (limit + 1)
-    for c, m in terms:
-        for q in range(1, limit // m + 1):
-            out[q * m] += c * table[q]
+    out = array("q")
+    for start in range(0, limit + 1, _BLOCK):
+        stop = min(start + _BLOCK, limit + 1)
+        block = [0] * (stop - start)
+        for c, m in terms:
+            # The multiples q * m in [start, stop), with q >= 1.
+            first = max(1, -(-start // m))
+            j = first * m - start
+            block[j::m] = [b + c * x for b, x in zip(block[j::m], table[first : (stop - 1) // m + 1])]
+        out.fromlist(block)
     return out

@@ -6,9 +6,9 @@ the convolution-power oracles, and the divisor-sum combinations from one
 sigma sieve (divisor_sums.sigma_combination).  Every convolution sum of a
 verifier comes from one series.multiply of its count table and its weight
 table, indexed by the input.  A range takes its inputs, and prime-r2 its
-twin test, from one sieve (primes_below) sized before the first loop; the
-scalars (is_prime, the closed forms) serve single values, such as the
-precondition of a single-input verifier.
+twin test, from one sieve (primes_below) sized before the first loop, and
+each precondition of a single-input verifier reads the same sieve, sized by
+its input; the closed forms serve single values.
 Failures are collected in reports rather than raised, so a full range can
 be surveyed in one pass; a report passes only if it checked an input and
 nothing failed.  One check, _check_positive, decides every positivity
@@ -19,6 +19,7 @@ flags an identity accepts and their defaults from these signatures.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import combinations, compress, islice
 
@@ -49,7 +50,7 @@ class VerificationReport:
     """Per-input pass/fail record for one identity over a range of inputs."""
 
     identity: str
-    inputs_checked: list[int] = field(default_factory=list)
+    inputs_checked: Sequence[int] = field(default_factory=list)
     failures: list[Failure] = field(default_factory=list)
 
     @property
@@ -74,43 +75,30 @@ class VerificationReport:
         }
 
 
-# --- primality (deterministic, desk scale) ---
+# --- primality, by sieve ---
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def primes_below(limit: int) -> list[int]:
-    """All primes < limit, by sieve."""
-    if limit <= 2:
-        return []
+def _prime_flags(limit: int) -> bytearray:
+    """flags[n] is 1 when n is prime and 0 otherwise, for 0 <= n < limit."""
     # Copied from bytes: out of memory, CPython 3.11's bytearray repeat also
     # writes a stray SystemError line to stderr.
     flags = bytearray(b"\x01" * limit)
-    flags[0] = flags[1] = 0
+    flags[:2] = bytes(min(2, len(flags)))  # 0 and 1 are not prime
     p = 2
     while p * p < limit:
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
         p += 1
-    return list(compress(range(limit), flags))
+    return flags
+
+
+def primes_below(limit: int) -> list[int]:
+    """All primes < limit, by sieve."""
+    return list(compress(range(limit), _prime_flags(limit)))
 
 
 def _require_prime(value: int, name: str) -> None:
-    if not is_prime(value):
+    if value < 2 or not _prime_flags(value + 1)[value]:
         raise PreconditionNotMet(f"{name} = {value} is not prime")
 
 
@@ -391,12 +379,8 @@ def verify_R_positive(limit: int = 100_000) -> VerificationReport:
     """The _R_TERMS combination is > 0 for all n in [1, limit], via a sigma sieve."""
     if limit < 1:
         raise ValueError(f"verify_R_positive requires limit >= 1, got {limit}")
-    report = VerificationReport("R-positive")
-    values = sigma_combination(limit, _R_TERMS)
-    # Filled only after sigma_combination has freed its sieve table, so that
-    # at most two lists of limit ints are alive at once.
-    report.inputs_checked.extend(range(1, limit + 1))
-    _check_positive(report, values, 1)
+    report = VerificationReport("R-positive", range(1, limit + 1))
+    _check_positive(report, sigma_combination(limit, _R_TERMS), 1)
     return report
 
 
@@ -446,9 +430,8 @@ def verify_positivity(
     spec: ProductSpec, order: int, identity: str = "positivity"
 ) -> VerificationReport:
     """Expand the spec and record every index with coefficient <= 0."""
-    report = VerificationReport(identity)
     series = expand(spec, order)
-    report.inputs_checked.extend(range(order + 1))
+    report = VerificationReport(identity, range(order + 1))
     _check_positive(report, series, 0)
     return report
 

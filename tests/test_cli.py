@@ -498,6 +498,16 @@ def test_prime_sieve_out_of_memory_exits_2_with_one_line(huge_runs, argv):
     assert huge_runs[argv] == [2, "", "qconvolve: out of memory: the request is too large\n"]
 
 
+def test_large_prime_input_is_sized_before_its_primality_test():
+    # 2n + 1 = 2^62 - 57 is prime: the precondition's sieve is sized by it and
+    # fails at once, where trial division up to its root would run for hours.
+    argv = ("verify", "--identity", "t4-prime", "--input", "2305843009213693923")
+    proc = run_capped(("-m", "qconvolve", *argv), timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "qconvolve: out of memory: the request is too large\n"
+    )
+
+
 def test_out_of_memory_line_is_written_after_the_command_is_freed(monkeypatch):
     # The failing command's frames, and what they hold, must be gone before
     # the handler allocates for its message.

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qconvolve import divisor_sums
 from qconvolve.divisor_sums import (
     divisors,
     sigma,
     sigma_class,
+    sigma_combination,
     sigma_even,
     sigma_odd,
     sigma_scaled,
@@ -152,7 +155,7 @@ def test_sigma_table_matches_sigma():
 def test_sigma_table_at_every_small_limit():
     # Covers the sieve bound isqrt(limit) where it is 0, 1 and an exact root.
     for limit in range(65):
-        assert sigma_table(limit) == [sigma(n) for n in range(limit + 1)]
+        assert list(sigma_table(limit)) == [sigma(n) for n in range(limit + 1)]
 
 
 def test_sigma_table_at_prime_powers_and_squares_near_the_root():
@@ -177,7 +180,34 @@ def test_sigma_table_at_prime_powers_and_squares_near_the_root():
 def test_sigma_table_matches_sympy():
     sympy = pytest.importorskip("sympy")
     table = sigma_table(2000)
-    assert table[1:] == [int(sympy.divisor_sigma(n)) for n in range(1, 2001)]
+    assert list(table[1:]) == [int(sympy.divisor_sigma(n)) for n in range(1, 2001)]
+
+
+def test_sigma_table_takes_at_most_13_bytes_per_entry():
+    # 8 bytes per entry, plus the largest mark slice (p = 2) of 4 per entry.
+    limit = 200_000
+    tracemalloc.start()
+    try:
+        sigma_table(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * limit
+
+
+def test_sigma_combination_with_moduli_that_straddle_blocks():
+    # Moduli that do not divide the block size start a block mid-stride.
+    terms = ((3, 3), (-2, 5), (1, 7))
+    top = 2 * divisor_sums._BLOCK + 1
+    expected = [0] + [sum(c * sigma_scaled(n, m) for c, m in terms) for n in range(1, top + 1)]
+    for limit in (0, 1, top // 2 - 1, top // 2, top // 2 + 1, top):
+        assert list(sigma_combination(limit, terms)) == expected[: limit + 1], limit
+
+
+def test_sigma_combination_raises_past_64_bits():
+    # 2^62 sigma(1) + 2^62 sigma(1) = 2^63 does not fit: no wrapped value.
+    with pytest.raises(OverflowError):
+        sigma_combination(10, ((2**62, 1), (2**62, 1)))
 
 
 def test_negative_arguments_rejected():

@@ -5,12 +5,13 @@ from __future__ import annotations
 import inspect
 import json
 import re
+import tracemalloc
 import weakref
 from math import isqrt
 
 import pytest
 
-from qconvolve import cli, identities
+from qconvolve import cli, divisor_sums, identities
 from qconvolve.divisor_sums import (
     divisors,
     sigma,
@@ -26,7 +27,6 @@ from qconvolve.identities import (
     SERIES1_SPEC,
     MasterFamilyParams,
     VerificationReport,
-    is_prime,
     kronecker_minus4,
     master_family_spec,
     master_positivity_cases,
@@ -58,18 +58,19 @@ from qconvolve.counts import r_oracle, t_oracle
 from qconvolve.series import PowerSeries, ProductSpec, expand, oracle_expand
 
 
-def test_is_prime_and_sieve_agree():
-    sieved = set(primes_below(500))
-    for n in range(500):
-        assert is_prime(n) == (n in sieved)
+def brute_force_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def test_is_prime_and_sieve_match_sympy():
+def test_sieve_agrees_with_brute_force():
+    for limit in range(-2, 500):
+        assert primes_below(limit) == [n for n in range(limit) if brute_force_is_prime(n)]
+
+
+def test_sieve_matches_sympy():
     sympy = pytest.importorskip("sympy")
     limit = 10**4
     assert primes_below(limit) == [n for n in range(limit) if sympy.isprime(n)]
-    for n in range(limit):
-        assert is_prime(n) == sympy.isprime(n)
 
 
 def test_kronecker_minus4():
@@ -133,7 +134,7 @@ def test_closed_forms_match_sympy():
 def test_t6_closed_at_primes_4n_plus_3():
     # When 4n + 3 is prime the value collapses to (n + 1)(2n + 1).
     for n in range(0, 100):
-        if is_prime(4 * n + 3):
+        if brute_force_is_prime(4 * n + 3):
             assert t6_closed(n) == (n + 1) * (2 * n + 1)
 
 
@@ -198,10 +199,6 @@ def test_prime_r2_range_checks_twins_straddling_the_limit(monkeypatch):
     assert in_range == twins == [3, 5, 11]
 
 
-def brute_force_is_prime(n):
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
-
-
 # range verifier -> the inputs below its limit that it must check
 RANGE_INPUTS = {
     verify_prime_r2_range: lambda n: n % 2 == 1 and brute_force_is_prime(n),
@@ -212,24 +209,14 @@ RANGE_INPUTS = {
 
 
 @pytest.mark.parametrize("run", RANGE_INPUTS, ids=lambda run: run.__name__)
-def test_range_inputs_come_from_the_sieve(monkeypatch, run):
-    # Every limit up to 399 checks exactly the filtered inputs, and no input
-    # is trial-divided: is_prime is left to the single-input preconditions.
-    calls = []
-    real = identities.is_prime
-
-    def spy(n):
-        calls.append(n)
-        return real(n)
-
-    monkeypatch.setattr(identities, "is_prime", spy)
+def test_range_inputs_come_from_the_sieve(run):
+    # Every limit up to 399 checks exactly the filtered inputs.
     qualifies = RANGE_INPUTS[run]
     for limit in range(400):
         report = run(limit)
         expected = [n for n in range(limit) if qualifies(n)]
         assert report.inputs_checked == expected, limit
         assert report.passed == bool(expected), limit
-    assert calls == []
 
 
 def test_prime_r4_r8_example():
@@ -315,11 +302,29 @@ def test_verifier_divisor_sums_come_from_the_sieve():
         identities._R4_TERMS: lambda n: r4_closed(n) // 8,
         identities._R_TERMS: R_combination,
     }
+    # Each limit around a block edge of sigma_combination, the last in the
+    # second block included.
+    edge = divisor_sums._BLOCK
+    top = 2 * edge + 1
     for terms, formula in formulas.items():
-        values = sigma_combination(2000, terms)
-        assert values[0] == 0
-        for n in range(1, 2001):
-            assert values[n] == sum(c * sigma_scaled(n, m) for c, m in terms) == formula(n)
+        expected = [0] + [sum(c * sigma_scaled(n, m) for c, m in terms) for n in range(1, top + 1)]
+        assert expected[1:] == [formula(n) for n in range(1, top + 1)]
+        for limit in (2000, edge - 1, edge, edge + 1, top):
+            assert list(sigma_combination(limit, terms)) == expected[: limit + 1], limit
+
+
+def test_R_positive_takes_at_most_20_bytes_per_input():
+    # The sieve and the combination are 8 bytes per entry each, and the
+    # report holds its inputs as a range.
+    limit = 200_000
+    tracemalloc.start()
+    try:
+        report = verify_R_positive(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and len(report.inputs_checked) == limit
+    assert peak <= 20 * limit
 
 
 def test_verifiers_build_each_sum_table_once(monkeypatch):
