@@ -2,8 +2,8 @@
 
 Scaled arguments follow the convention that sigma of a non-integer rational
 is 0, so sigma(n/m) contributes only when m divides n.  Two edge conventions
-differ on purpose: sigma(0) = 1, while sigma_star(0) = 0 (the odd-cofactor
-sum is supported on positive integers only).
+differ on purpose: sigma(0) = 1, while sigma_star(0) = sigma(0) - sigma(0/2)
+= 0 (the odd-cofactor sum is supported on positive integers only).
 
 Every scalar function is a pure function of its arguments, computed by
 trial division up to sqrt(n).  Bulk values come from one multiplicative
@@ -78,25 +78,13 @@ def sigma_even(n: int) -> int:
 
 
 def sigma_star(n: int) -> int:
-    """Sum of the divisors d of n whose cofactor n/d is odd; 0 at n = 0.
-
-    Equals sigma(n) - sigma(n/2) for n >= 1.
-    """
-    if n < 0:
-        raise ValueError(f"sigma_star requires n >= 0, got {n}")
-    if n == 0:
-        return 0
-    return sum(d for d in divisors(n) if (n // d) % 2 == 1)
+    """Sum of the divisors d of n whose cofactor n/d is odd; 0 at n = 0."""
+    return sigma_star_scaled(n, 1)
 
 
 def sigma_star_scaled(n: int, m: int) -> int:
-    """sigma_star(n/m) when m divides n, else 0."""
-    if m < 1:
-        raise ValueError(f"sigma_star_scaled requires m >= 1, got {m}")
-    if n < 0:
-        raise ValueError(f"sigma_star_scaled requires n >= 0, got {n}")
-    q, r = divmod(n, m)
-    return sigma_star(q) if r == 0 else 0
+    """sigma_star(n/m) = sigma(n/m) - sigma(n/2m), so 0 unless m divides n."""
+    return sigma_scaled(n, m) - sigma_scaled(n, 2 * m)
 
 
 def sigma_table(limit: int) -> array:

@@ -5,10 +5,11 @@ ingredients, never from the recursion under test: count values come from
 the convolution-power oracles, and the divisor-sum combinations from one
 sigma sieve (divisor_sums.sigma_combination).  Every convolution sum of a
 verifier comes from one series.multiply of its count table and its weight
-table, indexed by the input.  A range takes its inputs, and prime-r2 its
-twin test, from one sieve (primes_below) sized before the first loop, and
-each precondition of a single-input verifier reads the same sieve, sized by
-its input; the closed forms serve single values.
+table, indexed by the input.  Primality is read only from the flags of one
+bytearray sieve (_prime_flags).  A range filters its inputs, and prime-r2
+makes its twin test, by indexing flags sized before the first loop; each
+precondition of a single-input verifier reads flags sized by its input.
+The closed forms serve single values.
 Failures are collected in reports rather than raised, so a full range can
 be surveyed in one pass; a report passes only if it checked an input and
 nothing failed.  One check, _check_positive, decides every positivity
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import combinations, compress, islice
+from itertools import combinations, islice
 
 from .counts import r_oracle, t_oracle
 from .divisor_sums import divisors, sigma, sigma_combination, sigma_scaled
@@ -47,18 +48,15 @@ class Failure:
 
 @dataclass
 class VerificationReport:
-    """Per-input pass/fail record for one identity over a range of inputs."""
+    """Per-input pass/fail record for one identity over the inputs it checks."""
 
     identity: str
-    inputs_checked: Sequence[int] = field(default_factory=list)
+    inputs_checked: Sequence[int]
     failures: list[Failure] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return bool(self.inputs_checked) and not self.failures
-
-    def mark(self, value: int) -> None:
-        self.inputs_checked.append(value)
 
     def expect(self, value: int, lhs, rhs) -> None:
         if lhs != rhs:
@@ -90,11 +88,6 @@ def _prime_flags(limit: int) -> bytearray:
             flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
         p += 1
     return flags
-
-
-def primes_below(limit: int) -> list[int]:
-    """All primes < limit, by sieve."""
-    return list(compress(range(limit), _prime_flags(limit)))
 
 
 def _require_prime(value: int, name: str) -> None:
@@ -209,14 +202,11 @@ def verify_convolution(limit: int = 300) -> VerificationReport:
     the same equality, read coefficientwise, certifies the product of the two
     generating series.
     """
-    if limit < 1:
-        raise ValueError(f"verify_convolution requires limit >= 1, got {limit}")
-    report = VerificationReport("convolution")
+    report = VerificationReport("convolution", range(1, limit + 1))
     h4 = sigma_combination(limit, _R4_TERMS)
     g = sigma_combination(limit, _SQUARES_TERMS)
     sums = _weighted_sums(h4, g)
-    for n in range(1, limit + 1):
-        report.mark(n)
+    for n in report.inputs_checked:
         report.expect(n, 8 * sums[n], n * h4[n] - g[n])
     return report
 
@@ -238,13 +228,12 @@ def _check_twin_r2(report, p, sums):
 
 def _prime_r2(primes, size: int) -> VerificationReport:
     # The twin check at p reads the sum at p + 2, so size > max(primes).
-    report = VerificationReport("prime-r2")
+    report = VerificationReport("prime-r2", primes)
     sums = _weighted_sums(r_oracle(2, size).coeffs, sigma_combination(size, _SQUARES_TERMS))
-    sieved = set(primes_below(size + 2))
+    flags = _prime_flags(size + 2)
     for p in primes:
-        report.mark(p)
         report.expect(p, sums[p], p - 1 if p % 4 == 1 else -p - 1)
-        if p + 2 in sieved:
+        if flags[p + 2]:
             _check_twin_r2(report, p, sums)
     return report
 
@@ -261,18 +250,18 @@ def verify_prime_r2(p: int) -> VerificationReport:
 
 def verify_prime_r2_range(limit: int = 1000) -> VerificationReport:
     """verify_prime_r2 over all odd primes < limit, twins included."""
-    return _prime_r2([p for p in primes_below(limit) if p != 2], limit)
+    flags = _prime_flags(limit)
+    return _prime_r2([p for p in range(3, limit) if flags[p]], limit)
 
 
 def _prime_r4_r8(primes, size: int) -> VerificationReport:
-    report = VerificationReport("prime-r4r8")
+    report = VerificationReport("prime-r4r8", primes)
     g = sigma_combination(size, _SQUARES_TERMS)
     # r_4 = r_2 r_2 and r_8 = r_4 r_4: three multiplies in all, none by expand.
     r2 = r_oracle(2, size)
     r4 = multiply(r2, r2)
     sums = [_weighted_sums(r.coeffs, g) for r in (r2, r4, multiply(r4, r4))]
     for p in primes:
-        report.mark(p)
         s2, s4, s8 = (s[p] for s in sums)
         report.expect(p, s4, p * p - 1)
         report.expect(p, s8, p ** 4 - 1)
@@ -295,7 +284,8 @@ def verify_prime_r4_r8(p: int) -> VerificationReport:
 
 def verify_prime_r4_r8_range(limit: int = 500) -> VerificationReport:
     """verify_prime_r4_r8 over all odd primes < limit."""
-    return _prime_r4_r8([p for p in primes_below(limit) if p != 2], limit)
+    flags = _prime_flags(limit)
+    return _prime_r4_r8([p for p in range(3, limit) if flags[p]], limit)
 
 
 # --- prime sums against t_2, t_4, t_6 ---
@@ -310,11 +300,10 @@ _T_PRIME_SUMS = {
 
 def _t_prime_sums(k: int, inputs, size: int) -> VerificationReport:
     identity, start, value = _T_PRIME_SUMS[k]
-    report = VerificationReport(identity)
+    report = VerificationReport(identity, inputs)
     h = sigma_combination(size, _TRIANGULAR_TERMS)
     sums = _weighted_sums(t_oracle(k, size).coeffs, h, start)
     for n in inputs:
-        report.mark(n)
         report.expect(n, sums[n], value(n))
     return report
 
@@ -331,9 +320,8 @@ def verify_t2_prime(p: int) -> VerificationReport:
 
 def verify_t2_prime_range(limit: int = 500) -> VerificationReport:
     """verify_t2_prime over all p < limit with p and 4p + 1 prime."""
-    primes = primes_below(4 * limit)
-    prime_set = set(primes)
-    return _t_prime_sums(2, [p for p in primes if p < limit and 4 * p + 1 in prime_set], limit)
+    flags = _prime_flags(4 * limit)
+    return _t_prime_sums(2, [p for p in range(limit) if flags[p] and flags[4 * p + 1]], limit)
 
 
 def verify_t4(n: int) -> VerificationReport:
@@ -347,7 +335,8 @@ def verify_t4(n: int) -> VerificationReport:
 
 def verify_t4_range(limit: int = 500) -> VerificationReport:
     """verify_t4 over all n < limit with 2n + 1 prime."""
-    return _t_prime_sums(4, [(q - 1) // 2 for q in primes_below(2 * limit) if q != 2], limit)
+    flags = _prime_flags(2 * limit)
+    return _t_prime_sums(4, [n for n in range(limit) if flags[2 * n + 1]], limit)
 
 
 def verify_t6(n: int) -> VerificationReport:
@@ -361,7 +350,8 @@ def verify_t6(n: int) -> VerificationReport:
 
 def verify_t6_range(limit: int = 500) -> VerificationReport:
     """verify_t6 over all n < limit with 4n + 3 prime."""
-    return _t_prime_sums(6, [(q - 3) // 4 for q in primes_below(4 * limit) if q % 4 == 3], limit)
+    flags = _prime_flags(4 * limit)
+    return _t_prime_sums(6, [n for n in range(limit) if flags[4 * n + 3]], limit)
 
 
 # --- positivity ---
@@ -377,8 +367,6 @@ def _check_positive(report, values, start: int, context: str = "") -> None:
 
 def verify_R_positive(limit: int = 100_000) -> VerificationReport:
     """The _R_TERMS combination is > 0 for all n in [1, limit], via a sigma sieve."""
-    if limit < 1:
-        raise ValueError(f"verify_R_positive requires limit >= 1, got {limit}")
     report = VerificationReport("R-positive", range(1, limit + 1))
     _check_positive(report, sigma_combination(limit, _R_TERMS), 1)
     return report
@@ -490,9 +478,8 @@ def verify_master_positivity(order: int = 300) -> VerificationReport:
     Failures carry the coefficient index as input and the offending
     parameter combination in the expected-value text.
     """
-    report = VerificationReport("master-positivity")
+    report = VerificationReport("master-positivity", range(len(master_positivity_cases())))
     for index, (params, series) in enumerate(_master_members(order)):
-        report.mark(index)
         _check_positive(report, series, 0, params.describe())
     return report
 
@@ -511,9 +498,8 @@ def verify_oracle_equivalence(
     divides out by the pentagonal recurrence use no integer division, so for
     them only the agreement with the oracle is checked.
     """
-    report = VerificationReport("oracle-equivalence")
+    report = VerificationReport("oracle-equivalence", range(count))
     for index, spec in enumerate(random_spec_corpus(count, seed)):
-        report.mark(index)
         try:
             left = expand(spec, order)
         except DivisibilityViolation as exc:

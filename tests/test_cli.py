@@ -230,8 +230,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     from qconvolve.identities import VerificationReport
 
     def failing_range(limit=300):
-        report = VerificationReport("convolution")
-        report.mark(1)
+        report = VerificationReport("convolution", [1])
         report.expect(1, 0, 1)
         return report
 
@@ -241,7 +240,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert out.strip().splitlines()[1] == "convolution,1,1,false"
 
 
-def test_verify_oracle_equivalence_with_thread_cap(capsys):
+def test_verify_oracle_equivalence_json_report(capsys):
     code, out, _ = run(
         capsys,
         "verify", "--identity", "oracle-equivalence",
@@ -288,6 +287,8 @@ def test_verify_defaults_live_in_the_runner_signatures():
         ("expand", "--spec", "1n^-1", "-N", "-1"),
         ("verify", "--identity", "prime-r4r8", "--max", "-5"),
         ("verify", "--identity", "t6-prime", "--max", "-5"),
+        ("verify", "--identity", "convolution", "--max", "-5"),
+        ("verify", "--identity", "R-positive", "--max", "-5"),
     ],
 )
 def test_negative_size_is_usage_error(capsys, argv):
@@ -303,6 +304,8 @@ def test_negative_size_is_usage_error(capsys, argv):
         (("--identity", "prime-r2", "--max", "2"), "--max 2"),
         (("--identity", "t4-prime", "--max", "0"), "--max 0"),
         (("--identity", "oracle-equivalence", "--count", "0"), "--count 0"),
+        (("--identity", "convolution", "--max", "0"), "--max 0"),
+        (("--identity", "R-positive", "--max", "0"), "--max 0"),
     ],
 )
 def test_verify_with_no_inputs_is_usage_error(capsys, argv, span):

@@ -88,6 +88,8 @@ def test_sigma_star_scaled_examples():
     assert sigma_star_scaled(5, 2) == 0
     assert sigma_star_scaled(4, 2) == 2
     assert sigma_star_scaled(6, 3) == 2
+    for m in range(1, 9):
+        assert sigma_star_scaled(0, m) == 0, m  # sigma(0) - sigma(0)
 
 
 def test_functions_match_definition_oracles():

@@ -27,10 +27,10 @@ from qconvolve.identities import (
     SERIES1_SPEC,
     MasterFamilyParams,
     VerificationReport,
+    _prime_flags,
     kronecker_minus4,
     master_family_spec,
     master_positivity_cases,
-    primes_below,
     r2_closed,
     r4_closed,
     r8_closed,
@@ -64,13 +64,17 @@ def brute_force_is_prime(n):
 
 def test_sieve_agrees_with_brute_force():
     for limit in range(-2, 500):
-        assert primes_below(limit) == [n for n in range(limit) if brute_force_is_prime(n)]
+        flags = _prime_flags(limit)
+        assert [n for n in range(limit) if flags[n]] == [
+            n for n in range(limit) if brute_force_is_prime(n)
+        ]
 
 
 def test_sieve_matches_sympy():
     sympy = pytest.importorskip("sympy")
     limit = 10**4
-    assert primes_below(limit) == [n for n in range(limit) if sympy.isprime(n)]
+    flags = _prime_flags(limit)
+    assert [n for n in range(limit) if flags[n]] == [n for n in range(limit) if sympy.isprime(n)]
 
 
 def test_kronecker_minus4():
@@ -142,7 +146,7 @@ def test_convolution_identity_small_cases():
     report = verify_convolution(2)
     assert report.passed
     # n = 1 is the empty sum; n = 2 needs the factor 8 on the convolution side.
-    assert report.inputs_checked == [1, 2]
+    assert list(report.inputs_checked) == [1, 2]
 
 
 def test_convolution_identity_range():
@@ -521,8 +525,7 @@ def test_oracle_equivalence_verifier():
 
 
 def test_report_json_schema():
-    report = VerificationReport("demo")
-    report.mark(1)
+    report = VerificationReport("demo", [1])
     report.expect(1, 2, 3)
     data = report.to_json_dict()
     assert data == {
@@ -545,7 +548,7 @@ def test_report_json_schema():
 )
 def test_report_that_checked_nothing_does_not_pass(run):
     report = run()
-    assert report.inputs_checked == [] and report.failures == []
+    assert list(report.inputs_checked) == [] and report.failures == []
     assert not report.passed
     assert report.to_json_dict()["passed"] is False
 
