@@ -6,9 +6,9 @@ the convolution-power oracles, and the divisor-sum combinations from one
 sigma sieve (divisor_sums.sigma_combination).  Every convolution sum of a
 verifier comes from one series.multiply of its count table and its weight
 table, indexed by the input.  Primality is read only from the flags of one
-bytearray sieve (_prime_flags).  A range filters its inputs, and prime-r2
-makes its twin test, by indexing flags sized before the first loop; each
-precondition of a single-input verifier reads flags sized by its input.
+bytearray sieve (_prime_flags), built once per call before its first loop
+and sized to the largest value the call tests.  The master family expands
+each a = 1 member and raises it to a = 2 and 3 on the spot.
 The closed forms serve single values.
 Failures are collected in reports rather than raised, so a full range can
 be surveyed in one pass; a report passes only if it checked an input and
@@ -21,7 +21,7 @@ flags an identity accepts and their defaults from these signatures.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 from .counts import r_oracle, t_oracle
@@ -90,13 +90,13 @@ def _prime_flags(limit: int) -> bytearray:
     return flags
 
 
-def _require_prime(value: int, name: str) -> None:
-    if value < 2 or not _prime_flags(value + 1)[value]:
+def _require_prime(flags, value: int, name: str) -> None:
+    if value < 2 or not flags[value]:
         raise PreconditionNotMet(f"{name} = {value} is not prime")
 
 
-def _require_odd_prime(p: int) -> None:
-    _require_prime(p, "p")
+def _require_odd_prime(flags, p: int) -> None:
+    _require_prime(flags, p, "p")
     if p == 2:
         raise PreconditionNotMet("p must be an odd prime, got 2")
 
@@ -214,9 +214,9 @@ def verify_convolution(limit: int = 300) -> VerificationReport:
 # --- prime sums against r_2, r_4, r_8 ---
 #
 # Each single-input verifier below checks its precondition and runs a core
-# over [input]; the range verifier runs the same core over every qualifying
-# input below the limit.  A core's tables hold indices 0..size, so its
-# sums reach n = size + 1.
+# over [x] at size x + 1; the range verifier runs the same core over every
+# qualifying input below the limit, at size limit.  A core's tables hold
+# indices 0..size, so its sums reach n = size + 1.
 
 
 def _check_twin_r2(report, p, sums):
@@ -226,11 +226,10 @@ def _check_twin_r2(report, p, sums):
     report.expect(p, sums[p + 2], expected)
 
 
-def _prime_r2(primes, size: int) -> VerificationReport:
-    # The twin check at p reads the sum at p + 2, so size > max(primes).
+def _prime_r2(primes, size: int, flags) -> VerificationReport:
+    # The twin check at p reads sums and flags at p + 2, so size > max(primes).
     report = VerificationReport("prime-r2", primes)
     sums = _weighted_sums(r_oracle(2, size).coeffs, sigma_combination(size, _SQUARES_TERMS))
-    flags = _prime_flags(size + 2)
     for p in primes:
         report.expect(p, sums[p], p - 1 if p % 4 == 1 else -p - 1)
         if flags[p + 2]:
@@ -244,14 +243,15 @@ def verify_prime_r2(p: int) -> VerificationReport:
     The sign case follows p mod 4.  When p + 2 is also prime the twin-pair
     corollary is checked as well.
     """
-    _require_odd_prime(p)
-    return _prime_r2([p], p + 1)
+    flags = _prime_flags(p + 3)
+    _require_odd_prime(flags, p)
+    return _prime_r2([p], p + 1, flags)
 
 
 def verify_prime_r2_range(limit: int = 1000) -> VerificationReport:
     """verify_prime_r2 over all odd primes < limit, twins included."""
-    flags = _prime_flags(limit)
-    return _prime_r2([p for p in range(3, limit) if flags[p]], limit)
+    flags = _prime_flags(limit + 2)
+    return _prime_r2([p for p in range(3, limit) if flags[p]], limit, flags)
 
 
 def _prime_r4_r8(primes, size: int) -> VerificationReport:
@@ -278,8 +278,8 @@ def verify_prime_r4_r8(p: int) -> VerificationReport:
     (1 + S_4)^2 = 1 + S_8.  p must be an odd prime; 2 is rejected because
     the statement is made for odd primes only.
     """
-    _require_odd_prime(p)
-    return _prime_r4_r8([p], p - 1)
+    _require_odd_prime(_prime_flags(p + 1), p)
+    return _prime_r4_r8([p], p + 1)
 
 
 def verify_prime_r4_r8_range(limit: int = 500) -> VerificationReport:
@@ -313,9 +313,10 @@ def verify_t2_prime(p: int) -> VerificationReport:
 
     Requires both p and 4p + 1 prime.
     """
-    _require_prime(p, "p")
-    _require_prime(4 * p + 1, "4p + 1")
-    return _t_prime_sums(2, [p], p - 1)
+    flags = _prime_flags(4 * p + 2)
+    _require_prime(flags, p, "p")
+    _require_prime(flags, 4 * p + 1, "4p + 1")
+    return _t_prime_sums(2, [p], p + 1)
 
 
 def verify_t2_prime_range(limit: int = 500) -> VerificationReport:
@@ -329,8 +330,8 @@ def verify_t4(n: int) -> VerificationReport:
 
     Requires 2n + 1 prime.
     """
-    _require_prime(2 * n + 1, "2n + 1")
-    return _t_prime_sums(4, [n], n)
+    _require_prime(_prime_flags(2 * n + 2), 2 * n + 1, "2n + 1")
+    return _t_prime_sums(4, [n], n + 1)
 
 
 def verify_t4_range(limit: int = 500) -> VerificationReport:
@@ -344,8 +345,8 @@ def verify_t6(n: int) -> VerificationReport:
 
     Requires 4n + 3 prime; n = 0 qualifies and checks the empty sum.
     """
-    _require_prime(4 * n + 3, "4n + 3")
-    return _t_prime_sums(6, [n], n)
+    _require_prime(_prime_flags(4 * n + 4), 4 * n + 3, "4n + 3")
+    return _t_prime_sums(6, [n], n + 1)
 
 
 def verify_t6_range(limit: int = 500) -> VerificationReport:
@@ -433,14 +434,13 @@ def verify_series1_positivity(order: int = 500) -> VerificationReport:
 
 
 def master_positivity_cases() -> list[MasterFamilyParams]:
-    """Every (a, b, offsets, reading) combination, a in 1..3 and b in 2..5."""
+    """Every (a, b, offsets, reading) combination, b in 2..5 outermost, a in 1..3 innermost."""
     cases = []
-    for a in (1, 2, 3):
-        for b in (2, 3, 4, 5):
-            candidates = range(b - 1)
-            for size in range(1, b):
-                for offsets in combinations(candidates, size):
-                    for reading in ("double-product", "single-base"):
+    for b in (2, 3, 4, 5):
+        for size in range(1, b):
+            for offsets in combinations(range(b - 1), size):
+                for reading in ("double-product", "single-base"):
+                    for a in (1, 2, 3):
                         cases.append(MasterFamilyParams(a, b, frozenset(offsets), reading))
     return cases
 
@@ -450,24 +450,18 @@ def _master_members(order: int):
 
     The member for a is the a-th power of the a = 1 member of the same b, I
     and reading, so only a = 1 members are expanded; the member for a >= 2 is
-    multiply(member for a - 1, member for 1).  Each distinct spec is built
-    once: with one offset the two readings are the same spec.  The cases run
-    a-major and a = 3 is the last power, so building an a = 3 member frees
-    its a = 2 and a = 1 members.
+    multiply(member for a - 1, member for 1).  With one offset the two
+    readings are one spec, expanded once.  One spec's powers are alive at a time.
     """
-    members = {}
+    spec = powers = None
     for params in master_positivity_cases():
-        spec = master_family_spec(params)
-        if spec not in members:
-            if params.a == 1:
-                members[spec] = expand(spec, order)
-            else:
-                previous = master_family_spec(replace(params, a=params.a - 1))
-                first = master_family_spec(replace(params, a=1))
-                members[spec] = multiply(members[previous], members[first])
-                if params.a == 3:
-                    del members[previous], members[first]
-        yield params, members[spec]
+        if params.a == 1:
+            previous, spec = spec, master_family_spec(params)
+            if spec != previous:
+                powers = [expand(spec, order)]
+        elif len(powers) < params.a:
+            powers.append(multiply(powers[-1], powers[0]))
+        yield params, powers[params.a - 1]
 
 
 def verify_master_positivity(order: int = 300) -> VerificationReport:
@@ -479,7 +473,7 @@ def verify_master_positivity(order: int = 300) -> VerificationReport:
     parameter combination in the expected-value text.
     """
     report = VerificationReport("master-positivity", range(len(master_positivity_cases())))
-    for index, (params, series) in enumerate(_master_members(order)):
+    for params, series in _master_members(order):
         _check_positive(report, series, 0, params.describe())
     return report
 

@@ -249,17 +249,16 @@ def test_t_verifiers_enforce_preconditions():
         verify_t6(3)
 
 
-@pytest.mark.parametrize(
-    "single, run",
-    [
-        (verify_prime_r2, verify_prime_r2_range),
-        (verify_prime_r4_r8, verify_prime_r4_r8_range),
-        (verify_t2_prime, verify_t2_prime_range),
-        (verify_t4, verify_t4_range),
-        (verify_t6, verify_t6_range),
-    ],
-    ids=lambda verifier: verifier.__name__,
-)
+SINGLE_AND_RANGE = [
+    (verify_prime_r2, verify_prime_r2_range),
+    (verify_prime_r4_r8, verify_prime_r4_r8_range),
+    (verify_t2_prime, verify_t2_prime_range),
+    (verify_t4, verify_t4_range),
+    (verify_t6, verify_t6_range),
+]
+
+
+@pytest.mark.parametrize("single, run", SINGLE_AND_RANGE, ids=lambda verifier: verifier.__name__)
 def test_single_input_accepts_exactly_the_range_inputs(single, run):
     # The precondition of a single-input verifier admits x exactly when the
     # range verifier checks x, and then checks x alone and passes.
@@ -363,11 +362,41 @@ def test_verifiers_build_each_sum_table_once(monkeypatch):
             identities.verify_t6_range,
         ):
             assert multiplies(run, limit) == 1
-    # The smallest single inputs read the sum one past their tables.
+    # The smallest single inputs, whose tables hold indices 0..x + 1.
     assert multiplies(verify_prime_r4_r8, 3) == 3
     assert multiplies(verify_prime_r2, 3) == 1
     assert multiplies(verify_t4, 1) == 1
     assert multiplies(verify_t6, 0) == 1
+    # A single input x runs its core at size x + 1, so its tables are the
+    # tables of its range at limit x + 1.
+    for single, run in SINGLE_AND_RANGE:
+        for x in run(40).inputs_checked:
+            multiplies(single, x)
+            sizes = list(calls)
+            multiplies(run, x + 1)
+            assert calls == sizes, (single.__name__, x)
+
+
+def test_each_verifier_call_sieves_once(monkeypatch):
+    # One _prime_flags per call serves every value the call tests: both
+    # preconditions of t2-prime and prime-r2's twin test included, for
+    # accepted and rejected inputs and for a range.
+    sieves = []
+    real = identities._prime_flags
+
+    def spy(limit):
+        sieves.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(identities, "_prime_flags", spy)
+    for single, run in SINGLE_AND_RANGE:
+        for call, arg in ((single, 3), (single, 2), (single, 4), (run, 60)):
+            sieves.clear()
+            try:
+                call(arg)
+            except PreconditionNotMet:
+                pass
+            assert len(sieves) == 1, (call.__name__, arg)
 
 
 def test_R_positive_range_verifier():
@@ -457,23 +486,49 @@ def test_master_positivity_expands_each_a1_member_once(monkeypatch):
 
 
 def test_master_members_free_their_lower_powers():
-    # Building an a = 3 member frees its a = 2 and a = 1 members, so when the
-    # last case is yielded only the 42 distinct a = 3 members are alive, not
-    # all 126 distinct members; once the generator ends none is.
-    cases = master_positivity_cases()
+    # The walk raises each a = 1 member to a = 2 and 3 before it moves on, so
+    # at every yield at most one spec's three powers are alive, out of 126
+    # distinct members; once the generator ends none is.
     members = identities._master_members(30)
-    refs = {}
-    for _ in cases:
+    refs = []
+    for _ in master_positivity_cases():
         params, series = next(members)
-        refs.setdefault(master_family_spec(params), weakref.ref(series))
-    del params, series
-    alive = {spec for spec, ref in refs.items() if ref() is not None}
+        if not any(ref() is series for ref in refs):
+            refs.append(weakref.ref(series))
+        alive = [ref for ref in refs if ref() is not None]
+        assert len(alive) <= 3, params.describe()
+    del params, series, alive
     assert len(refs) == 126
-    assert alive == {master_family_spec(params) for params in cases if params.a == 3}
-    assert len(alive) == 42
     with pytest.raises(StopIteration):
         next(members)
-    assert all(ref() is None for ref in refs.values())
+    assert all(ref() is None for ref in refs)
+
+
+def test_master_positivity_failures_come_in_walk_order(monkeypatch, capsys):
+    # Coefficient 1 of one a = 1 member is zeroed.  Its square and cube are
+    # 2 f_1 = 0 and 3 f_1 = 0 there, and positive elsewhere.  With one offset
+    # both readings share the member, so six cases fail, a innermost, each
+    # failure naming its case.
+    broken = master_family_spec(MasterFamilyParams(1, 3, frozenset({1}), "single-base"))
+    real = identities.expand
+
+    def patched(spec, order):
+        series = real(spec, order)
+        return PowerSeries((1, 0, *series.coeffs[2:])) if spec == broken else series
+
+    monkeypatch.setattr(identities, "expand", patched)
+    argv = ["verify", "--identity", "master-positivity", "-N", "20", "--format", "json"]
+    assert cli.main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checked"] == 156 and report["passed"] is False
+    failing = [
+        MasterFamilyParams(a, 3, frozenset({1}), reading)
+        for reading in ("double-product", "single-base")
+        for a in (1, 2, 3)
+    ]
+    assert report["failures"] == [
+        {"input": 1, "lhs": "0", "rhs": f">0 [{params.describe()}]"} for params in failing
+    ]
 
 
 def test_intro_families_positive():
