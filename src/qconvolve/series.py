@@ -4,22 +4,25 @@ A product spec denotes a finite product of factors (1 - x^d)^c, d ranging
 over an arithmetic progression {m*n - i : n >= 1}.  The expansion engine
 is the log-derivative recursion: n * p(n) is a convolution of earlier
 coefficients against weighted divisor sums, formed by divide and conquer
-through multiply and divided by n checked-exact.  In a spec whose
-coefficients grow, expand divides out each negative eta factor
-(x^m;x^m)^c by Euler's pentagonal recurrence instead, with additions only,
-gathered once per run of live shifts; expand documents the rule.  An
-independent oracle expands the same product by plain polynomial
-multiplication and division.  multiply, the one dense product of two
-series, packs each operand into a big int (Kronecker substitution) and
-multiplies once; every slot holds its coefficient plus half the slot's
-range, both when packing and when unpacking.
+through multiply and divided by n checked-exact, in x^g when every
+element the recursion sees is a multiple of g.  In a spec whose
+coefficients grow, expand first divides out each pair
+(x^m;x^m)^-2 (x^2m;x^2m) = 1/phi(-x^m) by Gauss's square series and then
+each negative eta factor (x^m;x^m)^c left by Euler's pentagonal
+recurrence, with additions only, gathered once per run of live shifts;
+expand documents the rule.  An independent oracle expands the same
+product by plain polynomial multiplication and division.  multiply, the
+one dense product of two series, packs each operand into a big int
+(Kronecker substitution) and multiplies once; every slot holds its
+coefficient plus half the slot's range, both when packing and when
+unpacking.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, isqrt, lcm
 from operator import add, itemgetter, mul
 from random import Random
 
@@ -191,13 +194,23 @@ def _pentagonal(limit: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _over_eta(out: list[int], shifts: list[tuple[int, int]]) -> None:
-    """Divide out, in place, by (x^m;x^m)_inf, whose terms are shifts (m*g, sign).
+def _squares(limit: int) -> list[tuple[int, int]]:
+    """Nonzero terms (k^2, (-1)^k) of (phi(-x) - 1) / 2 at exponents 1..limit.
 
-    Euler's recurrence p(n) = out[n] - sum_g sign_g * p(n - m*g), additions
-    only.  Between two consecutive shifts the same terms are live for every
-    n, so each such run builds one itemgetter that gathers them and one sum
-    forms each p(n) at C speed.  done holds a 0 sentinel and then each p(n)
+    Gauss: phi(-x) = (x;x)_inf^2 / (x^2;x^2)_inf = 1 + 2 sum_{k>=1} (-1)^k x^{k^2}.
+    """
+    return [(k * k, -1 if k % 2 else 1) for k in range(1, isqrt(limit) + 1)]
+
+
+def _over_eta(out: list[int], shifts: list[tuple[int, int]], scale: int) -> None:
+    """Divide out, in place, by 1 + scale * sum sign * x^d over the shifts (d, sign).
+
+    Scale 1 with the shifts of _pentagonal stretched by m is (x^m;x^m)_inf;
+    scale 2 with those of _squares is phi(-x^m).  The recurrence
+    p(n) = out[n] - scale * sum_d sign_d * p(n - d) uses no division.
+    Between two consecutive shifts the same terms are live for every n, so
+    each such run builds one itemgetter that gathers them and one sum forms
+    each p(n) at C speed.  done holds a 0 sentinel and then each p(n)
     beside its negation: with p(0..n-1) in it, done[-2d] is p(n - d) and
     done[1 - 2d] is -p(n - d), so one gather serves both signs.  Every
     gather also reads the sentinel, index 0, so it returns a tuple and adds 0.
@@ -212,7 +225,7 @@ def _over_eta(out: list[int], shifts: list[tuple[int, int]]) -> None:
         live.append(1 - 2 * d if sign > 0 else -2 * d)
         take = itemgetter(*live)
         for value in out[d:stop]:
-            value = sum(take(done), value)
+            value = scale * sum(take(done)) + value
             done += (value, -value)
     out[:] = done[1::2]
 
@@ -254,34 +267,50 @@ def _recursion(weights: list[int], coeffs: list[int]) -> None:
         solve(mid, r)
 
     solve(0, order + 1)
+    # solve reaches itself through its closure.  Clearing the name breaks
+    # that cycle, so sums and the cells are freed on return rather than at
+    # the next garbage collection.
+    del solve
 
 
 def expand(spec: ProductSpec, order: int) -> PowerSeries:
     """Expand the product to the given truncation order.
 
-    Factors take one of two exact paths, chosen from the spec and the order
-    alone.  The log-derivative recursion serves any factor: coefficient n is
-    the convolution of the earlier coefficients against the weight table,
-    divided exactly by n, and _recursion forms those convolutions by divide
-    and conquer over multiply, O(M(N) log N) for an M(N) product of size N.
-    An eta factor (x^m;x^m)^c with c < 0 can instead be divided out |c|
-    times by Euler's pentagonal recurrence, with additions only.
+    Factors take one of three exact paths, chosen from the spec and the
+    order alone.  The log-derivative recursion serves any factor:
+    coefficient n is the convolution of the earlier coefficients against the
+    weight table, divided exactly by n, and _recursion forms those
+    convolutions by divide and conquer over multiply, O(M(N) log N) for an
+    M(N) product of size N.  An eta factor (x^m;x^m)^c with c < 0 can
+    instead be divided out |c| times by Euler's pentagonal recurrence, and
+    a pair (x^m;x^m)^-2 (x^2m;x^2m) = 1/phi(-x^m) by Gauss's
+    phi(-q) = 1 + 2 sum_k (-1)^k q^{k^2}, both with additions only.
 
     The recursion's cost tracks the size of the output's coefficients, the
-    pentagonal path's the size of its intermediates, which can be far larger
+    divisions' the size of their intermediates, which can be far larger
     (dividing by (x;x)^2k alone leaves r_k partition-sized intermediates).
     So the whole spec picks: the output's coefficients grow like
     exp(C sqrt(n)) exactly when sum_f c_f / m_f < 0 over all factors
-    (Meinardus), computed here in exact integers.  Only then does an eta
-    factor with c < 0 take the pentagonal path, and only if its cost
-    |c| * T(order//m) is at most the order, T(L) being the number of
-    nonzero terms of (x;x)_inf at exponents 1..L.  Every other factor goes
-    to the recursion: eta factors with c > 0, all factors of a spec with
-    the sum >= 0 (r_k, t_k, u_{k,l}: polynomial-size outputs), and eta
-    factors whose |c| is too large.  The recursion runs first and the
-    pentagonal divisions follow.  A failed division raises
+    (Meinardus), computed here in exact integers.  Only then do divisions
+    run, and each kind only within its cost cap, count times terms at most
+    the order.  First, walking the offset-0 moduli m up, wherever
+    c_m < 0 < c_2m the spec takes j = min(floor(-c_m / 2), c_2m) divisions
+    by phi(-x^m), if phi(-x^m) has a term up to the order and
+    j * isqrt(order // m) fits the cap; c_m rises by 2j and c_2m falls by j.
+    Series-1, (1-x^n)^-4 (1-x^2n)^2 (1-x^4n)^-2 (1-x^8n)^4, is
+    (psi(x^4) / phi(-x))^2 and leaves only (x^8;x^8)^3.  Then each eta
+    factor left with c < 0 takes the pentagonal path if |c| * T(order//m)
+    fits, T(L) being the number of nonzero terms of (x;x)_inf at exponents
+    1..L.  Every other factor goes to the recursion: eta factors with
+    c > 0, all factors of a spec with the sum >= 0 (r_k, t_k, u_{k,l}:
+    polynomial-size outputs), and eta factors whose |c| is too large.
+
+    Every element of the factors left is a multiple of g, the gcd of their
+    moduli and offsets, so the recursion expands them in y = x^g to order
+    // g and its result fills every g-th coefficient.  The recursion runs
+    first and the divisions follow.  A failed division raises
     DivisibilityViolation (an internal bug signal: integer exponents always
-    divide exactly); the pentagonal path performs no division.
+    divide exactly); the pentagonal and phi divisions perform no division.
     """
     if order < 0:
         raise ValueError(f"expand requires order >= 0, got {order}")
@@ -290,22 +319,40 @@ def expand(spec: ProductSpec, order: int) -> PowerSeries:
     # sum c/m < 0, scaled by the moduli's lcm so it stays in integers.
     common = lcm(*(f.index_set.modulus for f in spec.factors))
     grows = sum(f.exponent * (common // f.index_set.modulus) for f in spec.factors) < 0
-    divisions, rest = [], []
-    for f in spec.factors:
-        m = f.index_set.modulus
+    exponents = {(f.index_set.modulus, f.index_set.offset): f.exponent for f in spec.factors}
+    divisions = []
+    if grows:
+        for m in sorted(m for m, i in exponents if i == 0):
+            j = min(-exponents[m, 0] // 2, exponents.get((2 * m, 0), 0))
+            # Positive only if j > 0 and phi(-x^m) has a term up to the
+            # order; checked before the j passes are listed.
+            if 0 < j * isqrt(order // m) <= order:
+                divisions += [([(m * d, sign) for d, sign in _squares(order // m)], 2)] * j
+                exponents[m, 0] += 2 * j
+                exponents[2 * m, 0] -= j
+    rest = []
+    for (m, i), c in exponents.items():
         shifts = []
-        if grows and f.index_set.offset == 0 and f.exponent < 0:
-            shifts = [(m * g, sign) for g, sign in _pentagonal(order // m)]
+        if grows and i == 0 and c < 0:
+            shifts = [(m * d, sign) for d, sign in _pentagonal(order // m)]
         # With no term up to the order the factor is 1 here; the recursion
         # skips it at no cost, where |c| empty passes could be 10^30.
-        if shifts and -f.exponent * len(shifts) <= order:
-            divisions += [shifts] * -f.exponent
-        else:
-            rest.append(f)
+        if shifts and -c * len(shifts) <= order:
+            divisions += [(shifts, 1)] * -c
+        elif c:
+            rest.append((m, i, c))
     if rest:
-        _recursion(_weight_table(ProductSpec(rest), order), coeffs)
-    for shifts in divisions:
-        _over_eta(coeffs, shifts)
+        # Every element of every factor left is a multiple of g: expand in
+        # y = x^g to order // g and spread the result over every g-th slot.
+        g = gcd(*(n for m, i, _ in rest for n in (m, i)))
+        scaled = ProductSpec([Factor(FactorSet(m // g, i // g), c) for m, i, c in rest])
+        thin = [1] + [0] * (order // g)
+        _recursion(_weight_table(scaled, order // g), thin)
+        coeffs[::g] = thin
+        # Dropped here, so each division frees the coefficients it replaces.
+        del thin
+    for shifts, scale in divisions:
+        _over_eta(coeffs, shifts, scale)
     return PowerSeries(tuple(coeffs))
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
+from math import isqrt
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qconvolve import series
 from qconvolve.counts import r_oracle, r_spec, t_spec, u_spec
@@ -211,49 +214,62 @@ def test_expand_matches_oracle_at_larger_order():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_expand_routes_eta_factors_by_cost(monkeypatch, sign):
-    # The pentagonal path serves only negative eta factors of specs whose
-    # coefficients grow, sum c/m < 0.  There (x;x)_inf, with 32 nonzero
-    # terms at exponents 1..400, costs 384 <= 400 steps at |c| = 12 and
-    # takes that path, while |c| = 13 costs 416 and goes to the recursion.
-    # Series-1 divides out (x;x)^4 and, (x^4;x^4)_inf having 16 terms up to
-    # 400, (x^4;x^4)^2 that way.  Positive eta factors (sign 1), and every
-    # factor of a spec with sum c/m >= 0, go to the recursion, however
-    # cheap.  All agree with an oracle.
+    # Only specs whose coefficients grow, sum c/m < 0, divide.  There, walking
+    # the moduli up, each pair c_m < 0 < c_2m first takes
+    # j = min(floor(-c_m / 2), c_2m) divisions by phi(-x^m) (scale 2), if
+    # j * isqrt(order // m) <= order; phi(-x) has 20 nonzero terms at
+    # exponents 1..400, so j = 20 fits and j = 21 does not.  The negative eta
+    # exponents left take the pentagonal rule (scale 1): (x;x)_inf, with 32
+    # nonzero terms at exponents 1..400, costs 384 <= 400 steps at |c| = 12
+    # and takes that path, while |c| = 13 costs 416 and goes to the
+    # recursion.  Series-1 = (psi(x^4) / phi(-x))^2 divides by phi(-x) twice
+    # and, phi(-x^4) having 10 terms up to 400, by phi(-x^4) once, and its
+    # (x^8;x^8)^3 is left to the recursion.  1n^-13,2n^12 divides by phi(-x)
+    # 6 times and then by (x;x)_inf once.  Positive eta factors that pair
+    # with no negative one (sign 1), and every factor of a spec with
+    # sum c/m >= 0, go to the recursion, however cheap.  All agree with an
+    # oracle.  Each division is pinned by its first shift and its scale.
     assert len(series._pentagonal(400)) == 32
     assert len(series._pentagonal(100)) == 16
+    assert len(series._squares(400)) == 20
+    assert len(series._squares(100)) == 10
     steps = []
     over_eta = series._over_eta
 
-    def counted(*args):
-        steps.append(args)
-        return over_eta(*args)
+    def counted(out, shifts, scale):
+        steps.append((shifts[0][0], scale))
+        return over_eta(out, shifts, scale)
 
     monkeypatch.setattr(series, "_over_eta", counted)
+    phi, eta = (1, 2), (1, 1)
     if sign < 0:
-        cases = (("1n^-12", 12), ("1n^-13", 0), (SERIES1.to_text(), 4 + 2))
+        cases = (
+            ("1n^-12", [eta] * 12),
+            ("1n^-13", []),
+            (SERIES1.to_text(), [phi, phi, (4, 2)]),
+            ("1n^-40,2n^20", [phi] * 20),
+            ("1n^-42,2n^21", []),
+        )
     else:
-        cases = (("1n^-13,2n^12", 0), ("1n^12", 0), ("2n^-12,1n^6", 0))
-    for text, pentagonal_steps in cases:
+        cases = (("1n^-13,2n^12", [phi] * 6 + [eta]), ("1n^12", []), ("2n^-12,1n^6", []))
+    for text, divisions in cases:
         steps.clear()
         spec = ProductSpec.parse(text)
         assert expand(spec, 400) == oracle_expand(spec, 400)
-        assert len(steps) == pentagonal_steps, text
+        assert steps == divisions, text
     steps.clear()
     assert expand(r_spec(4), 400).coeffs == r_oracle(4, 400).values
     assert not steps
 
 
-def over_eta_reference(out, shifts):
-    """Euler's recurrence in place, one coefficient and one shift at a time."""
+def over_eta_reference(out, shifts, scale):
+    """The recurrence in place, one coefficient and one shift at a time."""
     for n in range(1, len(out)):
         acc = out[n]
         for d, sign in shifts:
             if d > n:
                 break
-            if sign > 0:
-                acc -= out[n - d]
-            else:
-                acc += out[n - d]
+            acc -= scale * sign * out[n - d]
         out[n] = acc
 
 
@@ -261,46 +277,133 @@ def over_eta_reference(out, shifts):
 def test_over_eta_matches_the_per_coefficient_loop(m):
     # Every order 0..130 puts the end of the list at d - 1, d and d + 1 for
     # each shift d below it, so every run boundary is crossed; 2000 runs long
-    # runs.  Coefficients are signed, some far past 2^64, and out[0] is not
-    # always 1.
+    # runs.  Both term lists run: pentagonal shifts at scale 1, square shifts
+    # at scale 2.  Coefficients are signed, some far past 2^64, and out[0] is
+    # not always 1.
     rng = Random(m)
-    for order in (*range(131), 2000):
-        shifts = [(m * g, sign) for g, sign in series._pentagonal(order // m)]
-        bits = rng.choice((3, 70, 400))
-        out = [rng.randint(-(1 << bits), 1 << bits) for _ in range(order + 1)]
-        if rng.random() < 0.5:
-            out[0] = 1
-        expected = list(out)
-        over_eta_reference(expected, shifts)
-        assert series._over_eta(out, shifts) is None
-        assert out == expected, (m, order)
+    for terms, scale in ((series._pentagonal, 1), (series._squares, 2)):
+        for order in (*range(131), 2000):
+            shifts = [(m * g, sign) for g, sign in terms(order // m)]
+            bits = rng.choice((3, 70, 400))
+            out = [rng.randint(-(1 << bits), 1 << bits) for _ in range(order + 1)]
+            if rng.random() < 0.5:
+                out[0] = 1
+            expected = list(out)
+            over_eta_reference(expected, shifts, scale)
+            assert series._over_eta(out, shifts, scale) is None
+            assert out == expected, (m, order, scale)
 
 
 @pytest.mark.parametrize(
     "text, firsts",
-    [(SERIES1.to_text(), {4: 4, 1: 32}), ("1n^-3,5n-1^3,5n-2^3", {1: 18})],
+    [
+        (SERIES1.to_text(), {(1, 2): 2, (4, 2): 4}),
+        ("1n^-3,5n-1^3,5n-2^3", {(1, 1): 18}),
+    ],
 )
 def test_expand_matches_oracle_where_each_division_starts(monkeypatch, text, firsts):
-    # An eta factor of a growing spec is divided out from the first order at
-    # which it has a shift and fits the cost cap: series-1's (x^4;x^4)^-2 from
-    # order 4, its first shift, and (x;x)^-4 from 32, where 4 * T(32) = 32;
-    # the master member's (x;x)^-3 from 18, where 3 * T(18) = 18.  Just
-    # below, at and just above each, expand must equal the oracle.
-    first_shifts = []
+    # A division of a growing spec runs from the first order at which its
+    # term list is nonempty and fits the cost cap.  Series-1 divides by
+    # phi(-x) twice from order 2, where 2 * isqrt(2) = 2, and by phi(-x^4)
+    # once from order 4, its first shift; the master member divides by
+    # (x;x)^3 from 18, where 3 * T(18) = 18.  Just below, at and just above
+    # each, expand must equal the oracle.  A division is keyed by its first
+    # shift and its scale.
+    divisions = []
     over_eta = series._over_eta
 
-    def spy(out, shifts):
-        first_shifts.append(shifts[0][0])
-        return over_eta(out, shifts)
+    def spy(out, shifts, scale):
+        divisions.append((shifts[0][0], scale))
+        return over_eta(out, shifts, scale)
 
     monkeypatch.setattr(series, "_over_eta", spy)
     spec = ProductSpec.parse(text)
     oracle = oracle_expand(spec, max(firsts.values()) + 1)
-    for m, first in firsts.items():
+    for key, first in firsts.items():
         for order in (first - 1, first, first + 1):
-            first_shifts.clear()
+            divisions.clear()
             assert expand(spec, order).coeffs == oracle.coeffs[: order + 1]
-            assert (m in first_shifts) == (order >= first), (m, order)
+            assert (key in divisions) == (order >= first), (key, order)
+
+
+@st.composite
+def phi_quotients(draw):
+    """A growing spec with c_m <= -2 and c_2m >= 1 for a drawn m, plus 0-2
+    other factors (offsets included), with an order in 0..300."""
+    m = draw(st.integers(1, 6))
+    c = draw(st.integers(-6, -2))
+    # c_2m < -2 c_m keeps the pair itself growing.
+    factors = [Factor(FactorSet(m, 0), c), Factor(FactorSet(2 * m, 0), draw(st.integers(1, -2 * c - 1)))]
+    for _ in range(draw(st.integers(0, 2))):
+        modulus = draw(st.integers(1, 8))
+        offset = draw(st.integers(0, modulus - 1))
+        factors.append(Factor(FactorSet(modulus, offset), draw(st.integers(-3, 3).filter(bool))))
+    return m, ProductSpec(factors), draw(st.integers(0, 300))
+
+
+@settings(max_examples=100, deadline=None)
+@given(phi_quotients())
+@example((1, SERIES1, 300))
+def test_expand_matches_oracle_on_phi_pairs(case):
+    m, spec, order = case
+    exponents = {(f.index_set.modulus, f.index_set.offset): f.exponent for f in spec.factors}
+    assume(sum(Fraction(c, modulus) for (modulus, _), c in exponents.items()) < 0)
+    divisions = []
+    over_eta = series._over_eta
+
+    def spy(out, shifts, scale):
+        divisions.append((shifts[0][0], scale))
+        return over_eta(out, shifts, scale)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_over_eta", spy)
+        assert expand(spec, order) == oracle_expand(spec, order)
+    # The walk reaches m with the merged c_m and c_2m: only m pairs with 2m,
+    # and the smaller modulus m/2 would lower c_m only if it were positive.
+    c, c2 = exponents.get((m, 0), 0), exponents.get((2 * m, 0), 0)
+    j = min(-c // 2, c2)
+    terms = isqrt(order // m)
+    expected = j if j > 0 and 0 < j * terms <= order else 0
+    assert divisions.count((m, 2)) == expected, (spec, order)
+
+
+def test_expand_gives_overpartition_numbers():
+    # 1 / phi(-x) = (-x;x)_inf / (x;x)_inf counts overpartitions (OEIS A015128).
+    assert list(expand(ProductSpec.parse("1n^-2,2n^1"), 15)) == [
+        1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232, 344, 504, 728, 1040, 1472,
+    ]
+
+
+def test_series1_is_the_square_of_psi_x4_over_phi():
+    # Series-1 = (psi(x^4) / phi(-x))^2, where psi(q) = (q^2;q^2)^2 / (q;q)
+    # and phi(-q) = (q;q)^2 / (q^2;q^2): the identity the phi path rests on.
+    q = oracle_expand(ProductSpec.parse("1n^-2,2n^1,4n^-1,8n^2"), 300)
+    assert multiply(q, q) == oracle_expand(SERIES1, 300)
+
+
+@pytest.mark.parametrize(
+    "text, g", [("2n^1,4n-2^2", 2), ("6n-3^2,9n^1", 3), ("8n^3", 8)]
+)
+def test_expand_runs_the_recursion_in_x_to_the_g(monkeypatch, text, g):
+    # Every element of these factors is a multiple of g, the gcd of their
+    # moduli and offsets, so the recursion runs in y = x^g to order // g and
+    # its result fills every g-th coefficient.  Orders 0..2g+1 put the end
+    # of the list just below, at and just above the first two multiples of
+    # g; 130 is well past them.
+    lengths = []
+    recursion = series._recursion
+
+    def spy(weights, coeffs):
+        lengths.append(len(coeffs))
+        return recursion(weights, coeffs)
+
+    monkeypatch.setattr(series, "_recursion", spy)
+    spec = ProductSpec.parse(text)
+    oracle = oracle_expand(spec, 130)
+    for order in (*range(2 * g + 2), 130):
+        lengths.clear()
+        assert expand(spec, order).coeffs == oracle.coeffs[: order + 1], order
+        assert lengths == [order // g + 1], order
 
 
 @pytest.mark.parametrize(
@@ -312,8 +415,8 @@ def test_expand_matches_oracle_across_recursion_blocks(spec):
     # Orders 0..2*leaf+2 take one leaf, a leaf and a split, and two levels of
     # splits; 300 and 1000 take several levels.  Truncated products are
     # prefix-exact, so one oracle expansion serves every order.  Series-1
-    # runs its positive eta factors through the recursion and then divides
-    # out its negative ones by the pentagonal recurrence.
+    # runs its (x^8;x^8)^3 through the recursion in x^8 and then divides by
+    # phi(-x) and phi(-x^4).
     leaf = series._LEAF
     oracle = oracle_expand(spec, 1000)
     for order in (*range(2 * leaf + 3), 300, 1000):
@@ -343,6 +446,19 @@ def test_recursion_checks_divisions_fed_by_cross_block_multiply(monkeypatch):
     with pytest.raises(DivisibilityViolation, match=rf"^{bad} does not divide"):
         expand(r_spec(4), 200)
     assert max(multiplies) > bad
+
+
+def test_expand_leaves_no_reference_cycle():
+    # A cycle would hold the recursion's sums and coefficients until the
+    # next garbage collection.
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in (r_spec(4), SERIES1, ProductSpec.parse("1n^-3,5n-1^3,5n-2^3")):
+            expand(spec, 300)
+            assert gc.collect() == 0, spec
+    finally:
+        gc.enable()
 
 
 def test_expand_gives_exact_values_for_a_huge_exponent():
