@@ -5,10 +5,10 @@ ingredients, never from the recursion under test: count values come from
 the convolution-power oracles, and the divisor-sum combinations from one
 sigma sieve (divisor_sums.sigma_combination).  Every convolution sum of a
 verifier comes from one series.multiply of its count table and its weight
-table, indexed by the input.  Primality is read only from the flags of one
-bytearray sieve (_prime_flags), built once per call before its first loop
-and sized to the largest value the call tests.  The master family expands
-each a = 1 member and raises it to a = 2 and 3 on the spot.
+table, indexed by the input.  Primality is read only from the flags of
+bytearray sieves (_prime_flags), each sized to the largest value it tests
+before the loop that reads it.  The master family expands each a = 1
+member and raises it to a = 2 and 3 on the spot.
 The closed forms serve single values.
 Failures are collected in reports rather than raised, so a full range can
 be surveyed in one pass; a report passes only if it checked an input and
@@ -313,9 +313,10 @@ def verify_t2_prime(p: int) -> VerificationReport:
 
     Requires both p and 4p + 1 prime.
     """
-    flags = _prime_flags(4 * p + 2)
-    _require_prime(flags, p, "p")
-    _require_prime(flags, 4 * p + 1, "4p + 1")
+    # p is tested first, so a composite p costs no sieve past p + 1, and
+    # only a prime p pays for a second sieve, to 4p + 2.
+    _require_prime(_prime_flags(p + 1), p, "p")
+    _require_prime(_prime_flags(4 * p + 2), 4 * p + 1, "4p + 1")
     return _t_prime_sums(2, [p], p + 1)
 
 

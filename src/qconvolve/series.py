@@ -6,16 +6,16 @@ is the log-derivative recursion: n * p(n) is a convolution of earlier
 coefficients against weighted divisor sums, formed by divide and conquer
 through multiply and divided by n checked-exact, in x^g when every
 element the recursion sees is a multiple of g.  In a spec whose
-coefficients grow, expand first divides out each pair
+coefficients grow, the route also divides out each pair
 (x^m;x^m)^-2 (x^2m;x^2m) = 1/phi(-x^m) by Gauss's square series and then
 each negative eta factor (x^m;x^m)^c left by Euler's pentagonal
 recurrence, with additions only, gathered once per run of live shifts;
-expand documents the rule.  An independent oracle expands the same
-product by plain polynomial multiplication and division.  multiply, the
-one dense product of two series, packs each operand into a big int
-(Kronecker substitution) and multiplies once; every slot holds its
-coefficient plus half the slot's range, both when packing and when
-unpacking.
+_plan picks the route and documents the rule, and expand runs it.  An
+independent oracle expands the same product by plain polynomial
+multiplication and division.  multiply, the one dense product of two
+series, packs each operand into a big int (Kronecker substitution) and
+multiplies once; every slot holds its coefficient plus half the slot's
+range, both when packing and when unpacking.
 """
 
 from __future__ import annotations
@@ -194,6 +194,12 @@ def _pentagonal(limit: int) -> list[tuple[int, int]]:
     return terms
 
 
+def _pentagonal_count(limit: int) -> int:
+    """len(_pentagonal(limit)), solving k(3k -+ 1)/2 <= limit for k >= 1."""
+    root = isqrt(1 + 24 * limit)
+    return (1 + root) // 6 + (root - 1) // 6
+
+
 def _squares(limit: int) -> list[tuple[int, int]]:
     """Nonzero terms (k^2, (-1)^k) of (phi(-x) - 1) / 2 at exponents 1..limit.
 
@@ -273,18 +279,17 @@ def _recursion(weights: list[int], coeffs: list[int]) -> None:
     del solve
 
 
-def expand(spec: ProductSpec, order: int) -> PowerSeries:
-    """Expand the product to the given truncation order.
+def _plan(spec: ProductSpec, order: int) -> tuple[list[tuple[int, int, int]], ProductSpec | None, int]:
+    """The route expand runs, (divisions, scaled, g), at no cost in the order.
 
     Factors take one of three exact paths, chosen from the spec and the
-    order alone.  The log-derivative recursion serves any factor:
-    coefficient n is the convolution of the earlier coefficients against the
-    weight table, divided exactly by n, and _recursion forms those
-    convolutions by divide and conquer over multiply, O(M(N) log N) for an
-    M(N) product of size N.  An eta factor (x^m;x^m)^c with c < 0 can
-    instead be divided out |c| times by Euler's pentagonal recurrence, and
-    a pair (x^m;x^m)^-2 (x^2m;x^2m) = 1/phi(-x^m) by Gauss's
-    phi(-q) = 1 + 2 sum_k (-1)^k q^{k^2}, both with additions only.
+    order alone.  The log-derivative recursion, _recursion, serves any
+    factor in O(M(N) log N) for an M(N) product of size N.  An eta factor
+    (x^m;x^m)^c with c < 0 can instead be divided out |c| times by Euler's
+    pentagonal recurrence, and a pair (x^m;x^m)^-2 (x^2m;x^2m) = 1/phi(-x^m)
+    by Gauss's phi(-q) = 1 + 2 sum_k (-1)^k q^{k^2}, both with additions
+    only.  divisions lists them as (m, scale, count) in running order,
+    scale 1 for (x^m;x^m)_inf and 2 for phi(-x^m).
 
     The recursion's cost tracks the size of the output's coefficients, the
     divisions' the size of their intermediates, which can be far larger
@@ -299,23 +304,14 @@ def expand(spec: ProductSpec, order: int) -> PowerSeries:
     j * isqrt(order // m) fits the cap; c_m rises by 2j and c_2m falls by j.
     Series-1, (1-x^n)^-4 (1-x^2n)^2 (1-x^4n)^-2 (1-x^8n)^4, is
     (psi(x^4) / phi(-x))^2 and leaves only (x^8;x^8)^3.  Then each eta
-    factor left with c < 0 takes the pentagonal path if |c| * T(order//m)
-    fits, T(L) being the number of nonzero terms of (x;x)_inf at exponents
-    1..L.  Every other factor goes to the recursion: eta factors with
-    c > 0, all factors of a spec with the sum >= 0 (r_k, t_k, u_{k,l}:
-    polynomial-size outputs), and eta factors whose |c| is too large.
-
-    Every element of the factors left is a multiple of g, the gcd of their
-    moduli and offsets, so the recursion expands them in y = x^g to order
-    // g and its result fills every g-th coefficient.  The recursion runs
-    first and the divisions follow.  A failed division raises
-    DivisibilityViolation (an internal bug signal: integer exponents always
-    divide exactly); the pentagonal and phi divisions perform no division.
+    factor left with c < 0 takes the pentagonal path if
+    |c| * _pentagonal_count(order // m) fits.  Every other factor goes to
+    the recursion: eta factors with c > 0, all factors of a spec with the
+    sum >= 0 (r_k, t_k, u_{k,l}: polynomial-size outputs), and eta factors
+    whose |c| is too large.  Every element of the factors left is a
+    multiple of g, the gcd of their moduli and offsets, so scaled, their
+    spec in y = x^g, runs to order // g (None, with g = 1, if none is left).
     """
-    if order < 0:
-        raise ValueError(f"expand requires order >= 0, got {order}")
-    # Sized before any loop, so an order too large for memory fails at once.
-    coeffs = [1] + [0] * order
     # sum c/m < 0, scaled by the moduli's lcm so it stays in integers.
     common = lcm(*(f.index_set.modulus for f in spec.factors))
     grows = sum(f.exponent * (common // f.index_set.modulus) for f in spec.factors) < 0
@@ -324,35 +320,51 @@ def expand(spec: ProductSpec, order: int) -> PowerSeries:
     if grows:
         for m in sorted(m for m, i in exponents if i == 0):
             j = min(-exponents[m, 0] // 2, exponents.get((2 * m, 0), 0))
-            # Positive only if j > 0 and phi(-x^m) has a term up to the
-            # order; checked before the j passes are listed.
+            # Positive only if j > 0 and phi(-x^m) has a term up to the order.
             if 0 < j * isqrt(order // m) <= order:
-                divisions += [([(m * d, sign) for d, sign in _squares(order // m)], 2)] * j
+                divisions.append((m, 2, j))
                 exponents[m, 0] += 2 * j
                 exponents[2 * m, 0] -= j
     rest = []
     for (m, i), c in exponents.items():
-        shifts = []
-        if grows and i == 0 and c < 0:
-            shifts = [(m * d, sign) for d, sign in _pentagonal(order // m)]
+        terms = _pentagonal_count(order // m) if grows and i == 0 and c < 0 else 0
         # With no term up to the order the factor is 1 here; the recursion
         # skips it at no cost, where |c| empty passes could be 10^30.
-        if shifts and -c * len(shifts) <= order:
-            divisions += [(shifts, 1)] * -c
+        if terms and -c * terms <= order:
+            divisions.append((m, 1, -c))
         elif c:
             rest.append((m, i, c))
-    if rest:
-        # Every element of every factor left is a multiple of g: expand in
-        # y = x^g to order // g and spread the result over every g-th slot.
-        g = gcd(*(n for m, i, _ in rest for n in (m, i)))
-        scaled = ProductSpec([Factor(FactorSet(m // g, i // g), c) for m, i, c in rest])
-        thin = [1] + [0] * (order // g)
+    if not rest:
+        return divisions, None, 1
+    g = gcd(*(n for m, i, _ in rest for n in (m, i)))
+    return divisions, ProductSpec([Factor(FactorSet(m // g, i // g), c) for m, i, c in rest]), g
+
+
+def expand(spec: ProductSpec, order: int) -> PowerSeries:
+    """Expand the product to the given truncation order.
+
+    _plan picks the route; expand runs the recursion, its result filling
+    every g-th coefficient, and then each division.  A failed division
+    raises DivisibilityViolation (an internal bug signal: integer exponents
+    always divide exactly); the pentagonal and phi divisions perform none.
+    """
+    if order < 0:
+        raise ValueError(f"expand requires order >= 0, got {order}")
+    # Sized before any loop, so an order too large for memory fails at once.
+    coeffs = [1] + [0] * order
+    divisions, scaled, g = _plan(spec, order)
+    if scaled is not None:
+        # At g = 1 the recursion fills coeffs itself.
+        thin = coeffs if g == 1 else [1] + [0] * (order // g)
         _recursion(_weight_table(scaled, order // g), thin)
-        coeffs[::g] = thin
-        # Dropped here, so each division frees the coefficients it replaces.
-        del thin
-    for shifts, scale in divisions:
-        _over_eta(coeffs, shifts, scale)
+        if g > 1:
+            coeffs[::g] = thin
+            # Dropped here, so each division frees the coefficients it replaces.
+            del thin
+    for m, scale, count in divisions:
+        shifts = [(m * d, sign) for d, sign in (_squares if scale == 2 else _pentagonal)(order // m)]
+        for _ in range(count):
+            _over_eta(coeffs, shifts, scale)
     return PowerSeries(tuple(coeffs))
 
 

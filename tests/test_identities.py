@@ -377,18 +377,25 @@ def test_verifiers_build_each_sum_table_once(monkeypatch):
             assert calls == sizes, (single.__name__, x)
 
 
-def test_each_verifier_call_sieves_once(monkeypatch):
-    # One _prime_flags per call serves every value the call tests: both
-    # preconditions of t2-prime and prime-r2's twin test included, for
-    # accepted and rejected inputs and for a range.
-    sieves = []
+@pytest.fixture
+def sieves(monkeypatch):
+    """The limit of each _prime_flags call, in order."""
+    limits = []
     real = identities._prime_flags
 
     def spy(limit):
-        sieves.append(limit)
+        limits.append(limit)
         return real(limit)
 
     monkeypatch.setattr(identities, "_prime_flags", spy)
+    return limits
+
+
+def test_each_verifier_call_sieves_once(sieves):
+    # One _prime_flags per call serves every value the call tests, prime-r2's
+    # twin test included, for accepted and rejected inputs and for a range.
+    # A single t2-prime input p that is prime takes a second sieve, for
+    # 4p + 1 (test_t2_prime_tests_p_before_it_sieves_past_it).
     for single, run in SINGLE_AND_RANGE:
         for call, arg in ((single, 3), (single, 2), (single, 4), (run, 60)):
             sieves.clear()
@@ -396,7 +403,18 @@ def test_each_verifier_call_sieves_once(monkeypatch):
                 call(arg)
             except PreconditionNotMet:
                 pass
-            assert len(sieves) == 1, (call.__name__, arg)
+            expected = 2 if call is verify_t2_prime and arg in (2, 3) else 1
+            assert len(sieves) == expected, (call.__name__, arg)
+
+
+def test_t2_prime_tests_p_before_it_sieves_past_it(sieves):
+    # A composite p is rejected on a sieve to p + 1, never to 4p + 2.
+    with rejects("p = 1000000 is not prime"):
+        verify_t2_prime(10**6)
+    assert sieves == [10**6 + 1]
+    sieves.clear()
+    assert verify_t2_prime(3).passed
+    assert sieves == [4, 14]
 
 
 def test_R_positive_range_verifier():

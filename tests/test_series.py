@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+from bisect import bisect_right
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import isqrt
@@ -24,6 +25,7 @@ from qconvolve.series import (
     multiply,
     oracle_expand,
     random_spec_corpus,
+    _plan,
     _weight_table,
 )
 
@@ -213,7 +215,7 @@ def test_expand_matches_oracle_at_larger_order():
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_expand_routes_eta_factors_by_cost(monkeypatch, sign):
+def test_expand_routes_eta_factors_by_cost(sign):
     # Only specs whose coefficients grow, sum c/m < 0, divide.  There, walking
     # the moduli up, each pair c_m < 0 < c_2m first takes
     # j = min(floor(-c_m / 2), c_2m) divisions by phi(-x^m) (scale 2), if
@@ -222,44 +224,73 @@ def test_expand_routes_eta_factors_by_cost(monkeypatch, sign):
     # exponents left take the pentagonal rule (scale 1): (x;x)_inf, with 32
     # nonzero terms at exponents 1..400, costs 384 <= 400 steps at |c| = 12
     # and takes that path, while |c| = 13 costs 416 and goes to the
-    # recursion.  Series-1 = (psi(x^4) / phi(-x))^2 divides by phi(-x) twice
-    # and, phi(-x^4) having 10 terms up to 400, by phi(-x^4) once, and its
-    # (x^8;x^8)^3 is left to the recursion.  1n^-13,2n^12 divides by phi(-x)
-    # 6 times and then by (x;x)_inf once.  Positive eta factors that pair
-    # with no negative one (sign 1), and every factor of a spec with
-    # sum c/m >= 0, go to the recursion, however cheap.  All agree with an
-    # oracle.  Each division is pinned by its first shift and its scale.
+    # recursion.  Series-1 = (psi(x^4) / phi(-x))^2, and phi(-x^4) has 10
+    # terms up to 400.  Positive eta factors that pair with no negative one
+    # (sign 1), and every factor of a spec with sum c/m >= 0, go to the
+    # recursion, however cheap.  All agree with an oracle.
     assert len(series._pentagonal(400)) == 32
-    assert len(series._pentagonal(100)) == 16
     assert len(series._squares(400)) == 20
     assert len(series._squares(100)) == 10
-    steps = []
-    over_eta = series._over_eta
-
-    def counted(out, shifts, scale):
-        steps.append((shifts[0][0], scale))
-        return over_eta(out, shifts, scale)
-
-    monkeypatch.setattr(series, "_over_eta", counted)
-    phi, eta = (1, 2), (1, 1)
+    parse = ProductSpec.parse
     if sign < 0:
         cases = (
-            ("1n^-12", [eta] * 12),
-            ("1n^-13", []),
-            (SERIES1.to_text(), [phi, phi, (4, 2)]),
-            ("1n^-40,2n^20", [phi] * 20),
-            ("1n^-42,2n^21", []),
+            ("1n^-12", [(1, 1, 12)], None, 1),
+            ("1n^-13", [], parse("1n^-13"), 1),
+            (SERIES1.to_text(), [(1, 2, 2), (4, 2, 1)], parse("1n^3"), 8),
+            ("1n^-40,2n^20", [(1, 2, 20)], None, 1),
+            ("1n^-42,2n^21", [], parse("1n^-42,2n^21"), 1),
         )
     else:
-        cases = (("1n^-13,2n^12", [phi] * 6 + [eta]), ("1n^12", []), ("2n^-12,1n^6", []))
-    for text, divisions in cases:
-        steps.clear()
-        spec = ProductSpec.parse(text)
+        cases = (
+            ("1n^-13,2n^12", [(1, 2, 6), (1, 1, 1)], parse("1n^6"), 2),
+            ("1n^12", [], parse("1n^12"), 1),
+            ("2n^-12,1n^6", [], parse("2n^-12,1n^6"), 1),
+        )
+    for text, *plan in cases:
+        spec = parse(text)
         assert expand(spec, 400) == oracle_expand(spec, 400)
-        assert steps == divisions, text
-    steps.clear()
+        assert _plan(spec, 400) == tuple(plan), text
+    assert _plan(r_spec(4), 400) == ([], r_spec(4), 1)
     assert expand(r_spec(4), 400).coeffs == r_oracle(4, 400).values
-    assert not steps
+
+
+def test_plan_costs_nothing_at_a_huge_order():
+    # The pentagonal terms are counted in closed form, so a plan builds no
+    # list of the order's size.  At every limit below 20000 the count is the
+    # length of the list _pentagonal builds, its exponents at most the limit.
+    exponents = [e for e, _ in series._pentagonal(20000)]
+    for limit in range(20000):
+        assert series._pentagonal_count(limit) == bisect_right(exponents, limit)
+    assert _plan(SERIES1, 2**64) == ([(1, 2, 2), (4, 2, 1)], ProductSpec.parse("1n^3"), 8)
+    assert _plan(ProductSpec.parse("1n^-1"), 2**64) == ([(1, 1, 1)], None, 1)
+
+
+def test_expand_runs_exactly_its_plan(monkeypatch):
+    # expand decides nothing: the recursion runs once, on the scaled spec to
+    # order // g, exactly when a spec is left, and then each plan entry
+    # (m, scale, count) is count _over_eta calls whose first shift is m.
+    calls = []
+    over_eta, recursion = series._over_eta, series._recursion
+
+    def spied_over_eta(out, shifts, scale):
+        calls.append((shifts[0][0], scale))
+        return over_eta(out, shifts, scale)
+
+    def spied_recursion(weights, coeffs):
+        calls.append((weights, len(coeffs)))
+        return recursion(weights, coeffs)
+
+    monkeypatch.setattr(series, "_over_eta", spied_over_eta)
+    monkeypatch.setattr(series, "_recursion", spied_recursion)
+    corpus = random_spec_corpus(40, seed=31, max_modulus=12)
+    for spec in (*corpus, SERIES1, ProductSpec.parse("1n^-3,5n-2^3,5n-3^3")):
+        for order in (0, 1, 4, 18, 130, 400):
+            divisions, scaled, g = _plan(spec, order)
+            calls.clear()
+            expand(spec, order)
+            ran = [] if scaled is None else [(_weight_table(scaled, order // g), order // g + 1)]
+            ran += [(m, scale) for m, scale, count in divisions for _ in range(count)]
+            assert calls == ran, (spec, order)
 
 
 def over_eta_reference(out, shifts, scale):
@@ -297,33 +328,24 @@ def test_over_eta_matches_the_per_coefficient_loop(m):
 @pytest.mark.parametrize(
     "text, firsts",
     [
-        (SERIES1.to_text(), {(1, 2): 2, (4, 2): 4}),
-        ("1n^-3,5n-1^3,5n-2^3", {(1, 1): 18}),
+        (SERIES1.to_text(), {(1, 2, 2): 2, (4, 2, 1): 4}),
+        ("1n^-3,5n-1^3,5n-2^3", {(1, 1, 3): 18}),
     ],
 )
-def test_expand_matches_oracle_where_each_division_starts(monkeypatch, text, firsts):
+def test_expand_matches_oracle_where_each_division_starts(text, firsts):
     # A division of a growing spec runs from the first order at which its
     # term list is nonempty and fits the cost cap.  Series-1 divides by
     # phi(-x) twice from order 2, where 2 * isqrt(2) = 2, and by phi(-x^4)
     # once from order 4, its first shift; the master member divides by
     # (x;x)^3 from 18, where 3 * T(18) = 18.  Just below, at and just above
-    # each, expand must equal the oracle.  A division is keyed by its first
-    # shift and its scale.
-    divisions = []
-    over_eta = series._over_eta
-
-    def spy(out, shifts, scale):
-        divisions.append((shifts[0][0], scale))
-        return over_eta(out, shifts, scale)
-
-    monkeypatch.setattr(series, "_over_eta", spy)
+    # each, expand must equal the oracle, and the plan holds the entry
+    # (m, scale, count) exactly from its first order.
     spec = ProductSpec.parse(text)
     oracle = oracle_expand(spec, max(firsts.values()) + 1)
-    for key, first in firsts.items():
+    for entry, first in firsts.items():
         for order in (first - 1, first, first + 1):
-            divisions.clear()
             assert expand(spec, order).coeffs == oracle.coeffs[: order + 1]
-            assert (key in divisions) == (order >= first), (key, order)
+            assert (entry in _plan(spec, order)[0]) == (order >= first), (entry, order)
 
 
 @st.composite
@@ -348,23 +370,13 @@ def test_expand_matches_oracle_on_phi_pairs(case):
     m, spec, order = case
     exponents = {(f.index_set.modulus, f.index_set.offset): f.exponent for f in spec.factors}
     assume(sum(Fraction(c, modulus) for (modulus, _), c in exponents.items()) < 0)
-    divisions = []
-    over_eta = series._over_eta
-
-    def spy(out, shifts, scale):
-        divisions.append((shifts[0][0], scale))
-        return over_eta(out, shifts, scale)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(series, "_over_eta", spy)
-        assert expand(spec, order) == oracle_expand(spec, order)
+    assert expand(spec, order) == oracle_expand(spec, order)
     # The walk reaches m with the merged c_m and c_2m: only m pairs with 2m,
     # and the smaller modulus m/2 would lower c_m only if it were positive.
     c, c2 = exponents.get((m, 0), 0), exponents.get((2 * m, 0), 0)
     j = min(-c // 2, c2)
-    terms = isqrt(order // m)
-    expected = j if j > 0 and 0 < j * terms <= order else 0
-    assert divisions.count((m, 2)) == expected, (spec, order)
+    expected = [(m, 2, j)] if 0 < j * isqrt(order // m) <= order else []
+    assert [entry for entry in _plan(spec, order)[0] if entry[:2] == (m, 2)] == expected, (spec, order)
 
 
 def test_expand_gives_overpartition_numbers():
@@ -382,28 +394,21 @@ def test_series1_is_the_square_of_psi_x4_over_phi():
 
 
 @pytest.mark.parametrize(
-    "text, g", [("2n^1,4n-2^2", 2), ("6n-3^2,9n^1", 3), ("8n^3", 8)]
+    "text, g, scaled",
+    [("2n^1,4n-2^2", 2, "1n^1,2n-1^2"), ("6n-3^2,9n^1", 3, "2n-1^2,3n^1"), ("8n^3", 8, "1n^3")],
+    ids=["2n^1,4n-2^2-2", "6n-3^2,9n^1-3", "8n^3-8"],
 )
-def test_expand_runs_the_recursion_in_x_to_the_g(monkeypatch, text, g):
+def test_expand_runs_the_recursion_in_x_to_the_g(text, g, scaled):
     # Every element of these factors is a multiple of g, the gcd of their
     # moduli and offsets, so the recursion runs in y = x^g to order // g and
     # its result fills every g-th coefficient.  Orders 0..2g+1 put the end
     # of the list just below, at and just above the first two multiples of
     # g; 130 is well past them.
-    lengths = []
-    recursion = series._recursion
-
-    def spy(weights, coeffs):
-        lengths.append(len(coeffs))
-        return recursion(weights, coeffs)
-
-    monkeypatch.setattr(series, "_recursion", spy)
     spec = ProductSpec.parse(text)
     oracle = oracle_expand(spec, 130)
     for order in (*range(2 * g + 2), 130):
-        lengths.clear()
+        assert _plan(spec, order) == ([], ProductSpec.parse(scaled), g), order
         assert expand(spec, order).coeffs == oracle.coeffs[: order + 1], order
-        assert lengths == [order // g + 1], order
 
 
 @pytest.mark.parametrize(
