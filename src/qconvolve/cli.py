@@ -13,8 +13,6 @@ for an index), 3 internal divisibility violation.
 from __future__ import annotations
 
 import argparse
-import inspect
-import json
 import sys
 
 from .counts import r_oracle, r_table, t_oracle, t_table, u_oracle, u_table
@@ -81,9 +79,21 @@ IDENTITIES = sorted(_RANGE_RUNNERS)
 _SIZE_FLAGS = {"limit": "--max", "order": "-N", "count": "--count", "seed": "--seed"}
 
 
+def _parameters(runner) -> tuple[str, ...]:
+    """The runner's parameter names, read through functools.wraps wrappers
+    (their __wrapped__) as inspect.signature reads them."""
+    while hasattr(runner, "__wrapped__"):
+        runner = runner.__wrapped__
+    code = runner.__code__
+    return code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+
+
 def _values_document(values, fmt: str, meta: dict, key: str) -> str:
     if fmt == "csv":
         return "n,value\n" + "".join(f"{n},{value}\n" for n, value in enumerate(values))
+    # Here and in _report_document: only --format json pays for the import.
+    import json
+
     return json.dumps({**meta, key: [str(v) for v in values]}) + "\n"
 
 
@@ -94,6 +104,8 @@ def _report_document(report, fmt: str) -> str:
             f"{report.identity},{len(report.inputs_checked)},"
             f"{len(report.failures)},{'true' if report.passed else 'false'}\n"
         )
+    import json
+
     return json.dumps(report.to_json_dict()) + "\n"
 
 
@@ -147,7 +159,7 @@ def _cmd_verify(args) -> tuple[int, str]:
         runner = _SINGLE_INPUT.get(name)
         if runner is None:
             raise ValueError(f"identity {name!r} takes a range, not --input")
-    accepted = inspect.signature(runner).parameters
+    accepted = _parameters(runner)
     extra = [flag for key, flag in _SIZE_FLAGS.items() if key in given and key not in accepted]
     if extra:
         takes = ", ".join(flag for key, flag in _SIZE_FLAGS.items() if key in accepted)

@@ -21,7 +21,6 @@ flags an identity accepts and their defaults from these signatures.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 from .counts import r_oracle, t_oracle
@@ -32,6 +31,7 @@ from .series import (
     FactorSet,
     PowerSeries,
     ProductSpec,
+    _Value,
     expand,
     multiply,
     oracle_expand,
@@ -39,20 +39,20 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class Failure:
-    input: int
-    lhs: str
-    rhs: str
+class Failure(_Value):
+    __slots__ = ("input", "lhs", "rhs")
+
+    def __init__(self, input: int, lhs: str, rhs: str):
+        self._set(input, lhs, rhs)
 
 
-@dataclass
 class VerificationReport:
     """Per-input pass/fail record for one identity over the inputs it checks."""
 
-    identity: str
-    inputs_checked: Sequence[int]
-    failures: list[Failure] = field(default_factory=list)
+    def __init__(self, identity: str, inputs_checked: Sequence[int], failures: list[Failure] | None = None):
+        self.identity = identity
+        self.inputs_checked = inputs_checked
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -378,8 +378,7 @@ def verify_R_positive(limit: int = 100_000) -> VerificationReport:
     return report
 
 
-@dataclass(frozen=True)
-class MasterFamilyParams:
+class MasterFamilyParams(_Value):
     """Parameters of the positivity family: base exponent a, progression
     modulus b, offsets I within [0, b-2], and which reading of the double
     product to take.
@@ -388,23 +387,21 @@ class MasterFamilyParams:
     offset; reading="single-base" uses a single base factor.
     """
 
-    a: int
-    b: int
-    offsets: frozenset[int]
-    reading: str
+    __slots__ = ("a", "b", "offsets", "reading")
 
-    def __post_init__(self):
-        object.__setattr__(self, "offsets", frozenset(self.offsets))
-        if self.a < 1:
-            raise ValueError(f"a must be >= 1, got {self.a}")
-        if self.b < 2:
-            raise ValueError(f"b must be >= 2, got {self.b}")
-        if not self.offsets:
+    def __init__(self, a: int, b: int, offsets: frozenset[int], reading: str):
+        offsets = frozenset(offsets)
+        if a < 1:
+            raise ValueError(f"a must be >= 1, got {a}")
+        if b < 2:
+            raise ValueError(f"b must be >= 2, got {b}")
+        if not offsets:
             raise ValueError("offsets must be nonempty")
-        if any(not 0 <= i <= self.b - 2 for i in self.offsets):
-            raise ValueError(f"offsets must lie in [0, b-2], got {sorted(self.offsets)}")
-        if self.reading not in ("double-product", "single-base"):
-            raise ValueError(f"unknown reading {self.reading!r}")
+        if any(not 0 <= i <= b - 2 for i in offsets):
+            raise ValueError(f"offsets must lie in [0, b-2], got {sorted(offsets)}")
+        if reading not in ("double-product", "single-base"):
+            raise ValueError(f"unknown reading {reading!r}")
+        self._set(a, b, offsets, reading)
 
     def describe(self) -> str:
         i_text = "{" + ",".join(str(i) for i in sorted(self.offsets)) + "}"

@@ -21,7 +21,6 @@ range, both when packing and when unpacking.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from operator import add, itemgetter, mul
 from random import Random
@@ -29,15 +28,59 @@ from random import Random
 from .errors import ParseError, checked_div
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class _Value:
+    """Base of the immutable value types, whose fields are their __slots__.
+
+    Values compare, hash, print and pickle by their fields, as a frozen
+    dataclass does, and any assignment raises dataclasses.FrozenInstanceError.
+    Each __init__ validates its arguments and stores them with _set.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        # Imported here: only misuse pays for the dataclasses module.
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class PowerSeries(_Value):
     """Coefficients 0..N of a formal power series, exact integers."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if not coeffs:
             raise ValueError("a power series needs at least the constant coefficient")
+        self._set(coeffs)
 
     @property
     def order(self) -> int:
@@ -58,21 +101,19 @@ class PowerSeries:
         return self.coeffs
 
 
-@dataclass(frozen=True)
-class FactorSet:
+class FactorSet(_Value):
     """Arithmetic-progression index set {modulus*n - offset : n >= 1}."""
 
-    modulus: int
-    offset: int
+    __slots__ = ("modulus", "offset")
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        if not 0 <= self.offset < self.modulus:
+    def __init__(self, modulus: int, offset: int):
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        if not 0 <= offset < modulus:
             raise ValueError(
-                f"offset must lie in [0, modulus), got offset={self.offset},"
-                f" modulus={self.modulus}"
+                f"offset must lie in [0, modulus), got offset={offset}, modulus={modulus}"
             )
+        self._set(modulus, offset)
 
     @property
     def least(self) -> int:
@@ -84,23 +125,21 @@ class FactorSet:
         return range(self.least, bound + 1, self.modulus)
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(_Value):
     """One factor prod_{d in index_set} (1 - x^d)^exponent."""
 
-    index_set: FactorSet
-    exponent: int
+    __slots__ = ("index_set", "exponent")
 
-    def __post_init__(self):
-        if self.exponent == 0:
+    def __init__(self, index_set: FactorSet, exponent: int):
+        if exponent == 0:
             raise ValueError("factor exponent must be nonzero")
+        self._set(index_set, exponent)
 
 
 _FACTOR_RE = re.compile(r"(\d+)(?:n(?:-(\d+))?)?\^([+-]?\d+)\Z")
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(_Value):
     """A finite product of progression factors.
 
     Duplicate (modulus, offset) pairs merge by adding exponents; factors
@@ -108,10 +147,10 @@ class ProductSpec:
     leaves the constant product 1.
     """
 
-    factors: tuple[Factor, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
+    def __init__(self, factors):
+        factors = tuple(factors)
         if not factors:
             raise ValueError("a product spec needs at least one factor")
         # A dict keeps its keys in first-insertion order.
@@ -119,10 +158,9 @@ class ProductSpec:
         for f in factors:
             key = (f.index_set.modulus, f.index_set.offset)
             exponents[key] = exponents.get(key, 0) + f.exponent
-        merged = tuple(
-            Factor(FactorSet(m, i), c) for (m, i), c in exponents.items() if c != 0
+        self._set(
+            tuple(Factor(FactorSet(m, i), c) for (m, i), c in exponents.items() if c != 0)
         )
-        object.__setattr__(self, "factors", merged)
 
     @classmethod
     def parse(cls, text: str) -> "ProductSpec":

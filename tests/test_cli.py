@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import inspect
 import io
 import json
@@ -223,6 +224,22 @@ def test_verify_rejects_mismatched_range_flags(capsys):
         assert code == 2 and out == "" and expected in err, argv
 
 
+def test_verify_reads_size_flags_through_a_wrapped_runner(capsys, monkeypatch):
+    # perfbench's traced mode replaces each runner with a functools.wraps wrapper.
+    runner = cli._RANGE_RUNNERS["R-positive"]
+
+    @functools.wraps(runner)
+    def traced(*args, **kwargs):
+        return runner(*args, **kwargs)
+
+    monkeypatch.setitem(cli._RANGE_RUNNERS, "R-positive", traced)
+    code, out, _ = run(capsys, "verify", "--identity", "R-positive", "--max", "10")
+    assert code == 0 and out.splitlines()[1] == "R-positive,10,0,true"
+    assert run(capsys, "verify", "--identity", "R-positive", "-N", "5") == (
+        2, "", "qconvolve: identity 'R-positive' takes --max, not -N\n"
+    )
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     # Every shipped identity holds, so stub the runner table to drive the
     # failing-report exit path.
@@ -422,6 +439,24 @@ def run_capped(args, timeout):
         (sys.executable, *args),
         capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=timeout,
     )
+
+
+def run_clean(args):
+    """Run python with args in a child whose environment is PATH and PYTHONPATH alone."""
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(Path(qconvolve.__file__).parents[1])}
+    return subprocess.run((sys.executable, *args), capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    # Every job is one process, so each pays this import before any arithmetic.
+    # Compared with a bare child, so a site that imports them passes too.
+    probe = "import sys{}; print(*sorted({{'dataclasses', 'inspect', 'json'}} & set(sys.modules)))"
+    bare, loaded = (run_clean(("-c", probe.format(extra))) for extra in ("", ", qconvolve.cli"))
+    assert bare.returncode == loaded.returncode == 0, (bare.stderr, loaded.stderr)
+    assert set(loaded.stdout.split()) <= set(bare.stdout.split())
+    proc = run_clean(("-m", "qconvolve", "expand", "--spec", "1n^-1", "-N", "5", "--format", "json"))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["coefficients"] == ["1", "1", "2", "3", "5", "7"]
 
 
 def test_out_of_memory_exits_2_with_one_line_and_empty_stdout():

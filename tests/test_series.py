@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
+import weakref
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -16,6 +19,7 @@ from qconvolve import series
 from qconvolve.counts import r_oracle, r_spec, t_spec, u_spec
 from qconvolve.divisor_sums import sigma
 from qconvolve.errors import DivisibilityViolation, ParseError, checked_div
+from qconvolve.identities import Failure, MasterFamilyParams
 from qconvolve.series import (
     Factor,
     FactorSet,
@@ -77,6 +81,41 @@ def test_product_spec_is_frozen():
         spec.factors = ()
     assert spec == ProductSpec.parse("1n^1")
     assert hash(spec) == before
+
+
+# Each immutable value type with its fields, in constructor order, and its repr.
+VALUE_TYPES = [
+    (PowerSeries, {"coeffs": (1, 2)}, "PowerSeries(coeffs=(1, 2))"),
+    (FactorSet, {"modulus": 2, "offset": 1}, "FactorSet(modulus=2, offset=1)"),
+    (
+        Factor,
+        {"index_set": FactorSet(2, 1), "exponent": -3},
+        "Factor(index_set=FactorSet(modulus=2, offset=1), exponent=-3)",
+    ),
+    (ProductSpec, {"factors": (Factor(FactorSet(2, 1), -3),)}, "ProductSpec('2n-1^-3')"),
+    (Failure, {"input": 5, "lhs": "7", "rhs": "8"}, "Failure(input=5, lhs='7', rhs='8')"),
+    (
+        MasterFamilyParams,
+        {"a": 1, "b": 3, "offsets": frozenset({0}), "reading": "single-base"},
+        "MasterFamilyParams(a=1, b=3, offsets=frozenset({0}), reading='single-base')",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUE_TYPES, ids=[row[0].__name__ for row in VALUE_TYPES])
+def test_value_type_contract(cls, fields, text):
+    value = cls(*fields.values())
+    assert value == cls(**fields) and hash(value) == hash(cls(**fields))
+    assert repr(value) == text
+    for name in fields:
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, fields[name])
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, name)
+        assert getattr(value, name) == fields[name]
+    assert weakref.ref(value)() is value
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
 
 
 def test_product_spec_requires_input():
