@@ -8,7 +8,8 @@ differ on purpose: sigma(0) = 1, while sigma_star(0) = sigma(0) - sigma(0/2)
 Every scalar function is a pure function of its arguments, computed by
 trial division up to sqrt(n).  Bulk values come from one multiplicative
 sieve, sigma_table (a prime factor per n, then one O(N) pass), and
-sigma_combination for sums of scaled sigma terms, both as array('q').
+sigma_combination for sums of scaled sigma terms, which overwrites its own
+sieve: each returns one array('q') of 8 bytes an entry.
 """
 
 from __future__ import annotations
@@ -87,10 +88,27 @@ def sigma_star_scaled(n: int, m: int) -> int:
     return sigma_scaled(n, m) - sigma_scaled(n, 2 * m)
 
 
+_BLOCK = 4096
+
+
+def _fill(seq, start: int, step: int, item) -> None:
+    """Set seq[start::step] to the one-item sequence item, repeated.
+
+    The slices assigned hold at most _BLOCK items each, so the fill's own
+    temporaries stay under _BLOCK items however long the stride runs.
+    """
+    count = len(range(start, len(seq), step))
+    pattern = item * min(count, _BLOCK)
+    for done in range(0, count, _BLOCK):
+        lo = start + done * step
+        size = min(_BLOCK, count - done)
+        seq[lo : lo + size * step : step] = pattern if size == len(pattern) else pattern[:size]
+
+
 def sigma_table(limit: int) -> array:
     """sigma(0..limit) by a prime-factor sieve and one multiplicative pass.
 
-    Index 0 carries the sigma(0) = 1 convention.  Slice assignments mark
+    Index 0 carries the sigma(0) = 1 convention.  Bounded fills (_fill) mark
     each composite n in the table with a prime factor p, as -p when p^2
     divides n (0 marks a prime); one pass in increasing n then replaces each
     mark by sigma(n) = (p+1) sigma(n/p), less p sigma(n/p^2) when p^2 | n,
@@ -104,8 +122,8 @@ def sigma_table(limit: int) -> array:
     for p in range(2, isqrt(limit) + 1):
         # A composite p was marked by a smaller prime q with q * q <= p.
         if not table[p]:
-            table[p * p :: p] = array("q", [p]) * ((limit - p * p) // p + 1)
-            table[p * p :: p * p] = array("q", [-p]) * (limit // (p * p))
+            _fill(table, p * p, p, array("q", [p]))
+            _fill(table, p * p, p * p, array("q", [-p]))
     table[:2] = array("q", [1, 1][: limit + 1])  # sigma(0) and sigma(1)
     # A memoryview stores an int faster than array's own item assignment.
     with memoryview(table) as view:
@@ -121,20 +139,18 @@ def sigma_table(limit: int) -> array:
     return table
 
 
-_BLOCK = 4096
-
-
 def sigma_combination(limit: int, terms) -> array:
     """Sum of c * sigma(n/m) over the (c, m) terms, for n = 0..limit.
 
-    Index 0 is 0.  Every term reads the same sigma_table; sigma(n/m)
-    contributes only when m divides n.  Each block of _BLOCK sums is packed
-    into the array('q') returned.  The package's term sets keep |sum| <= 48
-    sigma(n) < 2^59 below limit 2^50; a sum past 2^63 raises OverflowError.
+    Index 0 is 0.  Every term reads the same sigma_table, and the sums
+    overwrite it block by block, top down: a block of _BLOCK sums reads its
+    own entries, all before it writes them, and entries below it (n/m with
+    m >= 2), which no block has written yet.  sigma(n/m) contributes only
+    when m divides n.  The package's term sets keep |sum| <= 48 sigma(n) <
+    2^59 below limit 2^50; a sum past 2^63 raises OverflowError.
     """
     table = sigma_table(limit)
-    out = array("q")
-    for start in range(0, limit + 1, _BLOCK):
+    for start in range(limit // _BLOCK * _BLOCK, -1, -_BLOCK):
         stop = min(start + _BLOCK, limit + 1)
         block = [0] * (stop - start)
         for c, m in terms:
@@ -142,5 +158,5 @@ def sigma_combination(limit: int, terms) -> array:
             first = max(1, -(-start // m))
             j = first * m - start
             block[j::m] = [b + c * x for b, x in zip(block[j::m], table[first : (stop - 1) // m + 1])]
-        out.fromlist(block)
-    return out
+        table[start:stop] = array("q", block)
+    return table

@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from itertools import combinations, islice
 
 from .counts import r_oracle, t_oracle
-from .divisor_sums import divisors, sigma, sigma_combination, sigma_scaled
+from .divisor_sums import _fill, divisors, sigma, sigma_combination, sigma_scaled
 from .errors import DivisibilityViolation, PreconditionNotMet, checked_div
 from .series import (
     Factor,
@@ -78,14 +78,15 @@ class VerificationReport:
 
 def _prime_flags(limit: int) -> bytearray:
     """flags[n] is 1 when n is prime and 0 otherwise, for 0 <= n < limit."""
-    # Copied from bytes: out of memory, CPython 3.11's bytearray repeat also
-    # writes a stray SystemError line to stderr.
-    flags = bytearray(b"\x01" * limit)
-    flags[:2] = bytes(min(2, len(flags)))  # 0 and 1 are not prime
+    # One byte an entry: zeroed, not repeated (out of memory, CPython 3.11's
+    # bytearray repeat also writes a stray SystemError line to stderr), with
+    # bounded fills for the ones and the composites' zeros.
+    flags = bytearray(max(limit, 0))
+    _fill(flags, 2, 1, b"\x01")  # 0 and 1 stay 0: not prime
     p = 2
     while p * p < limit:
         if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
+            _fill(flags, p * p, p, b"\x00")
         p += 1
     return flags
 

@@ -186,7 +186,8 @@ def test_sigma_table_matches_sympy():
 
 
 def test_sigma_table_takes_at_most_13_bytes_per_entry():
-    # 8 bytes per entry, plus the largest mark slice (p = 2) of 4 per entry.
+    # The table's 8 bytes per entry; the mark fills' temporaries are bounded
+    # by _BLOCK items, not by limit // p.
     limit = 200_000
     tracemalloc.start()
     try:
@@ -194,7 +195,19 @@ def test_sigma_table_takes_at_most_13_bytes_per_entry():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 13 * limit
+    assert peak <= 8 * (limit + 1) + 512 * 1024
+
+
+def test_sigma_table_at_the_mark_fills_chunk_edges():
+    # Each limit where a mark fill first holds a whole number of _BLOCK
+    # chunks, and its neighbours: p = 2 from 4 at stride 2 (one and two
+    # chunks) and stride 4, and p = 3 from 9 at stride 3.
+    edge = divisor_sums._BLOCK
+    ends = (2 * edge + 2, 4 * edge + 2, 4 * edge, 3 * edge + 6)
+    limits = sorted({end + d for end in ends for d in range(-2, 4)})
+    expected = [sigma(n) for n in range(limits[-1] + 1)]
+    for limit in limits:
+        assert list(sigma_table(limit)) == expected[: limit + 1], limit
 
 
 def test_sigma_combination_with_moduli_that_straddle_blocks():

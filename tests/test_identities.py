@@ -62,12 +62,42 @@ def brute_force_is_prime(n):
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
+def traced_peak(call):
+    """call()'s result and the peak of the memory tracemalloc saw it take."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def test_sieve_agrees_with_brute_force():
     for limit in range(-2, 500):
         flags = _prime_flags(limit)
         assert [n for n in range(limit) if flags[n]] == [
             n for n in range(limit) if brute_force_is_prime(n)
         ]
+
+
+def test_sieve_at_the_fills_chunk_edges():
+    # Limits around where the ones' fill (from 2) first holds one and two
+    # whole _BLOCK chunks, and the fill of p = 2 (from 4, stride 2) one.
+    edge = divisor_sums._BLOCK
+    limits = sorted({k * edge + d for k in (1, 2) for d in range(-1, 6)})
+    primes = [n for n in range(limits[-1]) if brute_force_is_prime(n)]
+    for limit in limits:
+        flags = _prime_flags(limit)
+        assert len(flags) == limit
+        assert [n for n in range(limit) if flags[n]] == [q for q in primes if q < limit], limit
+
+
+def test_sieve_takes_one_byte_per_entry():
+    limit = 10**6
+    flags, peak = traced_peak(lambda: _prime_flags(limit))
+    assert sum(flags) == 78_498
+    assert peak <= limit + 64 * 1024
 
 
 def test_sieve_matches_sympy():
@@ -317,17 +347,20 @@ def test_verifier_divisor_sums_come_from_the_sieve():
 
 
 def test_R_positive_takes_at_most_20_bytes_per_input():
-    # The sieve and the combination are 8 bytes per entry each, and the
-    # report holds its inputs as a range.
+    # The combination overwrites its sieve, one table of 8 bytes per entry,
+    # and the report holds its inputs as a range.
     limit = 200_000
-    tracemalloc.start()
-    try:
-        report = verify_R_positive(limit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: verify_R_positive(limit))
     assert report.passed and len(report.inputs_checked) == limit
-    assert peak <= 20 * limit
+    assert peak <= 8 * (limit + 1) + 512 * 1024
+
+
+def test_sigma_combination_takes_8_bytes_per_entry():
+    # The sums are written over the sigma_table they read, block by block.
+    limit = 200_000
+    values, peak = traced_peak(lambda: sigma_combination(limit, identities._R_TERMS))
+    assert len(values) == limit + 1
+    assert peak <= 8 * (limit + 1) + 512 * 1024
 
 
 def test_verifiers_build_each_sum_table_once(monkeypatch):
