@@ -9,7 +9,7 @@ counts grow only polynomially and expand runs its log-derivative recursion
 (divide and conquer over series.multiply, every division checked-exact)
 rather than the pentagonal path, whose intermediates would be
 partition-sized.  The spec's recursion weight is the paper's divisor-sum
-combination (squares_weight, triangular_weight, mixed_weight), which
+combination, the (c, d) terms _SQUARES_TERMS and _TRIANGULAR_TERMS, which
 test_table_specs_have_the_paper_weights pins.  The oracles take convolution
 powers of the k = 1 indicator tables by binary powering with
 series.multiply, a Kronecker substitution product; they never call expand.
@@ -22,27 +22,29 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .divisor_sums import sigma, sigma_scaled, sigma_star, sigma_star_scaled
+from .divisor_sums import sigma_scaled
 from .series import PowerSeries, ProductSpec, expand, multiply
+
+# The paper's recursion weights as (c, d) terms of sum c * sigma(m/d), the
+# form divisor_sums.sigma_combination sieves: sigma*(m) - 4 sigma*(m/2) per
+# square of r_k, and sigma(m) - 4 sigma(m/2) per triangular number of t_k.
+_SQUARES_TERMS = ((1, 1), (-5, 2), (4, 4))
+_TRIANGULAR_TERMS = ((1, 1), (-4, 2))
 
 
 def squares_weight(m: int) -> int:
     """sigma_star(m) - 4 sigma_star(m/2), the r_k recursion weight."""
-    return sigma_star(m) - 4 * sigma_star_scaled(m, 2)
+    return sum(c * sigma_scaled(m, d) for c, d in _SQUARES_TERMS)
 
 
 def triangular_weight(m: int) -> int:
     """sigma(m) - 4 sigma(m/2), the t_k recursion weight."""
-    return sigma(m) - 4 * sigma_scaled(m, 2)
+    return sum(c * sigma_scaled(m, d) for c, d in _TRIANGULAR_TERMS)
 
 
 def mixed_weight(m: int, k: int, l: int) -> int:
-    """(2k+l) sigma(m) - 2(5k+2l) sigma(m/2) + 8k sigma(m/4)."""
-    return (
-        (2 * k + l) * sigma(m)
-        - 2 * (5 * k + 2 * l) * sigma_scaled(m, 2)
-        + 8 * k * sigma_scaled(m, 4)
-    )
+    """The u_{k,l} weight: theta^k psi^l is a product, so its weights add."""
+    return 2 * k * squares_weight(m) + l * triangular_weight(m)
 
 
 def r_spec(k: int) -> ProductSpec:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import combinations, islice
 
-from .counts import r_oracle, t_oracle
+from .counts import _SQUARES_TERMS, _TRIANGULAR_TERMS, r_oracle, t_oracle
 from .divisor_sums import _fill, divisors, sigma, sigma_combination, sigma_scaled
 from .errors import DivisibilityViolation, PreconditionNotMet, checked_div
 from .series import (
@@ -168,10 +168,6 @@ def t6_closed(n: int) -> int:
 # --- verifier ingredients ---
 
 # (c, m) terms of sum c * sigma(n/m), for divisor_sums.sigma_combination.
-# sigma*(m) - 4 sigma*(m/2), the r_k recursion weight:
-_SQUARES_TERMS = ((1, 1), (-5, 2), (4, 4))
-# sigma(m) - 4 sigma(m/2), the t_k recursion weight:
-_TRIANGULAR_TERMS = ((1, 1), (-4, 2))
 # sigma(m) - 4 sigma(m/4), r_4 / 8:
 _R4_TERMS = ((1, 1), (-4, 4))
 # 4 sigma(m) - 4 sigma(m/2) + 8 sigma(m/4) - 32 sigma(m/8), R-positive's:

@@ -194,7 +194,8 @@ class ProductSpec(_Value):
             m, i = f.index_set.modulus, f.index_set.offset
             stem = f"{m}n" if i == 0 else f"{m}n-{i}"
             parts.append(f"{stem}^{f.exponent}")
-        return ",".join(parts)
+        # The constant product prints as a cancelling pair, which parses back.
+        return ",".join(parts) or "1n^1,1n^-1"
 
     def __repr__(self) -> str:
         return f"ProductSpec({self.to_text()!r})"

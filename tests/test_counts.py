@@ -8,6 +8,8 @@ from math import isqrt
 import pytest
 
 from qconvolve.counts import (
+    _SQUARES_TERMS,
+    _TRIANGULAR_TERMS,
     mixed_weight,
     r_oracle,
     r_spec,
@@ -26,6 +28,7 @@ from qconvolve.counts import (
 from qconvolve.divisor_sums import (
     sigma,
     sigma_class,
+    sigma_combination,
     sigma_even,
     sigma_odd,
     sigma_scaled,
@@ -210,6 +213,16 @@ def test_table_specs_have_the_paper_weights():
         u_weights = _weight_table(u_spec(k, l), limit)
         for m in range(1, limit + 1):
             assert u_weights[m] == mixed_weight(m, k, l)
+    # The same weights through the sieve the verifiers read, whole tables at
+    # once, index 0 included.
+    squares = sigma_combination(limit, _SQUARES_TERMS)
+    triangular = sigma_combination(limit, _TRIANGULAR_TERMS)
+    for k in range(1, 5):
+        assert _weight_table(r_spec(k), limit) == [2 * k * w for w in squares]
+        assert _weight_table(t_spec(k), limit) == [k * w for w in triangular]
+    for k, l in grid:
+        expected = [2 * k * s + l * t for s, t in zip(squares, triangular)]
+        assert _weight_table(u_spec(k, l), limit) == expected
     # u_spec merges r_spec(k) and t_spec(l) into one eta quotient.
     for k, l in grid:
         assert u_spec(k, l).to_text() == f"1n^{-(2 * k + l)},2n^{5 * k + 2 * l},4n^{-2 * k}"
