@@ -17,61 +17,12 @@ import sys
 
 from .counts import r_oracle, r_table, t_oracle, t_table, u_oracle, u_table
 from .errors import DivisibilityViolation
-from .identities import (
-    r2_closed,
-    r4_closed,
-    r8_closed,
-    t2_closed,
-    t4_closed,
-    t6_closed,
-    verify_convolution,
-    verify_master_positivity,
-    verify_oracle_equivalence,
-    verify_prime_r2,
-    verify_prime_r2_range,
-    verify_prime_r4_r8,
-    verify_prime_r4_r8_range,
-    verify_R_positive,
-    verify_series1_positivity,
-    verify_t2_prime,
-    verify_t2_prime_range,
-    verify_t4,
-    verify_t4_range,
-    verify_t6,
-    verify_t6_range,
-)
+from .identities import _CLOSED_FORMS, _REGISTRY
 from .series import ProductSpec, expand
 
-_CLOSED_FORMS = {
-    ("r", 2): r2_closed,
-    ("r", 4): r4_closed,
-    ("r", 8): r8_closed,
-    ("t", 2): t2_closed,
-    ("t", 4): t4_closed,
-    ("t", 6): t6_closed,
-}
-
-_SINGLE_INPUT = {
-    "prime-r2": verify_prime_r2,
-    "prime-r4r8": verify_prime_r4_r8,
-    "t2-prime": verify_t2_prime,
-    "t4-prime": verify_t4,
-    "t6-prime": verify_t6,
-}
-
 # Every identity's runner; its signature names its size flags and their defaults.
-_RANGE_RUNNERS = {
-    "convolution": verify_convolution,
-    "prime-r2": verify_prime_r2_range,
-    "prime-r4r8": verify_prime_r4_r8_range,
-    "t2-prime": verify_t2_prime_range,
-    "t4-prime": verify_t4_range,
-    "t6-prime": verify_t6_range,
-    "R-positive": verify_R_positive,
-    "master-positivity": verify_master_positivity,
-    "series1-positivity": verify_series1_positivity,
-    "oracle-equivalence": verify_oracle_equivalence,
-}
+_RANGE_RUNNERS = {name: runner for name, runner, _ in _REGISTRY}
+_SINGLE_INPUT = {name: verifier for name, _, verifier in _REGISTRY if verifier is not None}
 
 IDENTITIES = sorted(_RANGE_RUNNERS)
 

@@ -9,7 +9,8 @@ table, indexed by the input.  Primality is read only from the flags of
 bytearray sieves (_prime_flags), each sized to the largest value it tests
 before the loop that reads it.  The master family expands each a = 1
 member and raises it to a = 2 and 3 on the spot.
-The closed forms serve single values.
+The closed forms serve single values.  _REGISTRY, at the end, lists each
+identity once, with its range runner and its single-input verifier.
 Failures are collected in reports rather than raised, so a full range can
 be surveyed in one pass; a report passes only if it checked an input and
 nothing failed.  One check, _check_positive, decides every positivity
@@ -163,6 +164,17 @@ def t6_closed(n: int) -> int:
         raise ValueError(f"t6_closed requires n >= 0, got {n}")
     total = sum(kronecker_minus4(d) * d * d for d in divisors(4 * n + 3))
     return checked_div(-total, 8)
+
+
+# (kind, k) -> closed form of the count, for `counts --method closed`
+_CLOSED_FORMS = {
+    ("r", 2): r2_closed,
+    ("r", 4): r4_closed,
+    ("r", 8): r8_closed,
+    ("t", 2): t2_closed,
+    ("t", 4): t4_closed,
+    ("t", 6): t6_closed,
+}
 
 
 # --- verifier ingredients ---
@@ -507,3 +519,22 @@ def verify_oracle_equivalence(
                 Failure(index, str(left[n]), f"{right[n]} [{spec!r}, n={n}]")
             )
     return report
+
+
+# --- the registry ---
+
+# One row per identity: (identity, range runner, single-input verifier or
+# None).  The CLI builds its dispatch from these rows, and reads each
+# runner's size flags and their defaults from its signature.
+_REGISTRY = (
+    ("convolution", verify_convolution, None),
+    ("prime-r2", verify_prime_r2_range, verify_prime_r2),
+    ("prime-r4r8", verify_prime_r4_r8_range, verify_prime_r4_r8),
+    ("t2-prime", verify_t2_prime_range, verify_t2_prime),
+    ("t4-prime", verify_t4_range, verify_t4),
+    ("t6-prime", verify_t6_range, verify_t6),
+    ("R-positive", verify_R_positive, None),
+    ("master-positivity", verify_master_positivity, None),
+    ("series1-positivity", verify_series1_positivity, None),
+    ("oracle-equivalence", verify_oracle_equivalence, None),
+)

@@ -279,13 +279,7 @@ def test_t_verifiers_enforce_preconditions():
         verify_t6(3)
 
 
-SINGLE_AND_RANGE = [
-    (verify_prime_r2, verify_prime_r2_range),
-    (verify_prime_r4_r8, verify_prime_r4_r8_range),
-    (verify_t2_prime, verify_t2_prime_range),
-    (verify_t4, verify_t4_range),
-    (verify_t6, verify_t6_range),
-]
+SINGLE_AND_RANGE = [(single, run) for _, run, single in identities._REGISTRY if single is not None]
 
 
 @pytest.mark.parametrize("single, run", SINGLE_AND_RANGE, ids=lambda verifier: verifier.__name__)
@@ -692,9 +686,17 @@ MUTATIONS = {
 }
 
 
-@pytest.mark.parametrize("j", [1, 4, 9])
-@pytest.mark.parametrize("name", sorted(cli._RANGE_RUNNERS))
-def test_every_identity_fails_when_an_ingredient_is_wrong(monkeypatch, name, j):
+# identity -> (range runner, single-input verifier or None), from the registry
+ROWS = {name: (runner, verifier) for name, runner, verifier in identities._REGISTRY}
+INPUT_FORMS = sorted(name for name, (_, verifier) in ROWS.items() if verifier is not None)
+
+
+def _small(runner):
+    return {"limit": 60} if "limit" in inspect.signature(runner).parameters else {"order": 30}
+
+
+def _mutate(monkeypatch, name, j):
+    """Replace the identity's ingredient in qconvolve.identities by its mutant at j."""
     ingredient, mutate = MUTATIONS[name]
     original = getattr(identities, ingredient)
 
@@ -705,11 +707,51 @@ def test_every_identity_fails_when_an_ingredient_is_wrong(monkeypatch, name, j):
         return PowerSeries(tuple(coeffs)) if isinstance(result, PowerSeries) else coeffs
 
     monkeypatch.setattr(identities, ingredient, mutated)
-    runner = cli._RANGE_RUNNERS[name]
-    size = {"limit": 60} if "limit" in inspect.signature(runner).parameters else {"order": 30}
-    report = runner(**size)
+
+
+@pytest.mark.parametrize("j", [1, 4, 9])
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_every_identity_fails_when_an_ingredient_is_wrong(monkeypatch, name, j):
+    runner, _ = ROWS[name]
+    _mutate(monkeypatch, name, j)
+    report = runner(**_small(runner))
     assert report.inputs_checked
     assert not report.passed
+
+
+@pytest.mark.parametrize("j", [1, 4, 9])
+@pytest.mark.parametrize("name", INPUT_FORMS)
+def test_every_input_form_fails_when_an_ingredient_is_wrong(monkeypatch, name, j):
+    # Each qualifying x with j < x < 60 sums over coefficient j, so each fails.
+    runner, verifier = ROWS[name]
+    expected = [x for x in runner(limit=60).inputs_checked if x > j]
+    _mutate(monkeypatch, name, j)
+    qualifying = []
+    for x in range(j + 1, 60):
+        try:
+            report = verifier(x)
+        except PreconditionNotMet:
+            continue
+        qualifying.append(x)
+        assert report.inputs_checked == [x] and not report.passed, x
+    assert qualifying == expected and qualifying
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_each_identity_is_pinned_to_its_row(name):
+    # Its reports carry the row's name, and the CLI dispatches to the row.
+    runner, verifier = ROWS[name]
+    report = runner(**_small(runner))
+    assert report.identity == name
+    if verifier is not None:
+        assert verifier(report.inputs_checked[0]).identity == name
+    assert cli._RANGE_RUNNERS[name] is runner
+    assert cli._SINGLE_INPUT.get(name) is verifier
+    assert list(cli._RANGE_RUNNERS) == [row[0] for row in identities._REGISTRY]
+    assert set(cli._SINGLE_INPUT) == set(INPUT_FORMS)
+    # The tracer swaps the CLI's entries by the functions the module names.
+    for fn in (runner, verifier or runner):
+        assert getattr(identities, fn.__name__) is fn
 
 
 @pytest.mark.parametrize("j", [1, 4, 9])
