@@ -6,7 +6,7 @@ squares plus l triangular numbers.  Each table is computed two independent
 ways.  The tables expand an eta quotient, a product of (q^m;q^m)^c factors,
 with series.expand.  For each of these quotients sum c/m is 0, so the
 counts grow only polynomially and expand runs its log-derivative recursion
-(divide and conquer over series.multiply, every division checked-exact)
+(leaf by leaf, one series.multiply per leaf, every division checked-exact)
 rather than the pentagonal path, whose intermediates would be
 partition-sized.  The spec's recursion weight is the paper's divisor-sum
 combination, the (c, d) terms _SQUARES_TERMS and _TRIANGULAR_TERMS, which

@@ -3,9 +3,9 @@
 A product spec denotes a finite product of factors (1 - x^d)^c, d ranging
 over an arithmetic progression {m*n - i : n >= 1}.  The expansion engine
 is the log-derivative recursion: n * p(n) is a convolution of earlier
-coefficients against weighted divisor sums, formed by divide and conquer
-through multiply and divided by n checked-exact, in x^g when every
-element the recursion sees is a multiple of g.  In a spec whose
+coefficients against weighted divisor sums, formed leaf by leaf with one
+block multiply after each leaf and divided by n checked-exact, in x^g
+when every element the recursion sees is a multiple of g.  In a spec whose
 coefficients grow, the route also divides out each pair
 (x^m;x^m)^-2 (x^2m;x^2m) = 1/phi(-x^m) by Gauss's square series and then
 each negative eta factor (x^m;x^m)^c left by Euler's pentagonal
@@ -14,8 +14,9 @@ _plan picks the route and documents the rule, and expand runs it.  An
 independent oracle expands the same product by plain polynomial
 multiplication and division.  multiply, the one dense product of two
 series, packs each operand into a big int (Kronecker substitution) and
-multiplies once; every slot holds its coefficient plus half the slot's
-range, both when packing and when unpacking.
+multiplies once, a square by squaring one int; every slot holds its
+coefficient plus half the slot's range, both when packing and when
+unpacking.
 """
 
 from __future__ import annotations
@@ -278,44 +279,40 @@ def _over_eta(out: list[int], shifts: list[tuple[int, int]], scale: int) -> None
 _LEAF = 64
 
 
-def _recursion(weights: list[int], coeffs: list[int]) -> None:
-    """Fill coeffs, [1, 0, ..., 0] on entry, with the product whose weights are given.
+def _recursion(weights: list[int], coeffs: list[int], g: int) -> None:
+    """Fill coeffs[::g], [1, 0, ..., 0] on entry, with the product whose weights are given.
 
-    Solves n * p(n) = sum_{k=1..n} weights[k] * p(n - k), p(0) = 1, online:
-    p(n) is needed before the sums of later coefficients can be formed.  The
-    weights are known in advance, so divide and conquer (the semi-relaxed
-    product) forms the sums by whole blocks.  To solve [l, r) it solves the
-    left half, adds the left half's contribution to every sum of the right
-    half with one multiply of p[l:mid] by weights[:r - l], and then solves
-    the right half.  Each pair j < n is either parted by exactly one split
-    or shares a block of at most _LEAF coefficients, which finishes each
-    sum with a dot product over the block and divides it by n checked-exact;
-    so every term enters its sum once.
+    Solves n * p(n) = sum_{k=1..n} weights[k] * p(n - k), p(0) = 1, for
+    p(n) = coeffs[n * g], online: p(n) is needed before the sums of later
+    coefficients can be formed.  The weights are known in advance, so the
+    semi-relaxed product forms the sums by whole blocks.  The coefficients
+    split into a power of two of balanced leaves, each of at most _LEAF.
+    Leaf m (from 1) finishes each of its sums with a dot product over the
+    leaf and divides it by n checked-exact.  Then, with k = m & -m, the k
+    leaves that end with it add their terms to the sums of the k leaves
+    that follow, by one multiply against the weights.  A pair j < n in two
+    leaves enters at the one m where their aligned blocks part, and a pair
+    in one leaf enters by its dot product; so every term enters its sum once.
     """
-    order = len(coeffs) - 1
-    sums = [0] * (order + 1)
-    head = min(_LEAF, order)
+    size = len(weights)
+    # The fewest leaves, a power of two, that hold at most _LEAF each.
+    leaves = 1 << (-(-size // _LEAF) - 1).bit_length()
+    bounds = [m * size // leaves for m in range(leaves + 1)]
+    head = min(_LEAF, size - 1)
     # reversed_head[head - d] is weights[d] for d = 1..head.
     reversed_head = weights[head:0:-1]
-
-    def solve(l: int, r: int) -> None:
-        if r - l <= _LEAF:
-            for n in range(max(l, 1), r):
-                acc = sums[n] + sum(map(mul, coeffs[l:n], reversed_head[head - (n - l) :]))
-                coeffs[n] = checked_div(acc, n)
-            return
-        mid = (l + r) // 2
-        solve(l, mid)
-        left = PowerSeries(tuple(coeffs[l:mid]) + (0,) * (r - mid))
-        block = multiply(left, PowerSeries(tuple(weights[: r - l])))
-        sums[mid:r] = map(add, sums[mid:r], block.coeffs[mid - l :])
-        solve(mid, r)
-
-    solve(0, order + 1)
-    # solve reaches itself through its closure.  Clearing the name breaks
-    # that cycle, so sums and the cells are freed on return rather than at
-    # the next garbage collection.
-    del solve
+    sums = [0] * size
+    for m in range(1, leaves + 1):
+        l, r = bounds[m - 1], bounds[m]
+        for n in range(max(l, 1), r):
+            acc = sums[n] + sum(map(mul, coeffs[l * g : n * g : g], reversed_head[head - (n - l) :]))
+            coeffs[n * g] = checked_div(acc, n)
+        if m < leaves:
+            k = m & -m
+            low, top = bounds[m - k], bounds[m + k]
+            left = PowerSeries(tuple(coeffs[low * g : r * g : g]) + (0,) * (top - r))
+            block = multiply(left, PowerSeries(tuple(weights[: top - low])))
+            sums[r:top] = map(add, sums[r:top], block.coeffs[r - low :])
 
 
 def _plan(spec: ProductSpec, order: int) -> tuple[list[tuple[int, int, int]], ProductSpec | None, int]:
@@ -393,13 +390,7 @@ def expand(spec: ProductSpec, order: int) -> PowerSeries:
     coeffs = [1] + [0] * order
     divisions, scaled, g = _plan(spec, order)
     if scaled is not None:
-        # At g = 1 the recursion fills coeffs itself.
-        thin = coeffs if g == 1 else [1] + [0] * (order // g)
-        _recursion(_weight_table(scaled, order // g), thin)
-        if g > 1:
-            coeffs[::g] = thin
-            # Dropped here, so each division frees the coefficients it replaces.
-            del thin
+        _recursion(_weight_table(scaled, order // g), coeffs, g)
     for m, scale, count in divisions:
         shifts = [(m * d, sign) for d, sign in (_squares if scale == 2 else _pentagonal)(order // m)]
         for _ in range(count):
@@ -443,7 +434,8 @@ def multiply(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     holds its coefficient plus half, both when packing and when unpacking,
     and is nonnegative and carry-free: an operand packs as its slots minus
     the bias, one half per slot, and the low order + 1 slots of the product
-    plus the bias are read back minus half.
+    plus the bias are read back minus half.  When b is a, the one packed
+    int multiplies itself, which CPython's Karatsuba does as a squaring.
     """
     order = min(a.order, b.order)
     size = order + 1
@@ -455,11 +447,11 @@ def multiply(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     width = bound.bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-    packed_a, packed_b = (
+    packed = [
         int.from_bytes(b"".join([(c + half).to_bytes(width, "little") for c in coeffs]), "little") - bias
-        for coeffs in (first, second)
-    )
-    low = (packed_a * packed_b + bias) & ((1 << (8 * width * size)) - 1)
+        for coeffs in ((first,) if b is a else (first, second))
+    ]
+    low = (packed[0] * packed[-1] + bias) & ((1 << (8 * width * size)) - 1)
     data = low.to_bytes(width * size, "little")
     slots = range(0, width * size, width)
     return PowerSeries(tuple([int.from_bytes(data[i : i + width], "little") - half for i in slots]))

@@ -131,6 +131,17 @@ def test_tables_agree_with_oracles_midrange():
             assert u_table(k, l, 60).values == u_oracle(k, l, 60).values
 
 
+@pytest.mark.parametrize("order", [n for k in range(7) for n in (64 << k, (64 << k) + 1)])
+def test_tables_agree_with_oracles_at_leaf_edges(order):
+    # The recursion splits order + 1 coefficients into a power of two of
+    # balanced leaves of at most 64.  At order 64 * 2^k the leaf count
+    # doubles, to leaves of 32 and one of 33; one order more lengthens a
+    # second leaf, so the block products start and end one place later.
+    assert r_table(4, order).values == r_oracle(4, order).values
+    assert t_table(6, order).values == t_oracle(6, order).values
+    assert u_table(2, 3, order).values == u_oracle(2, 3, order).values
+
+
 def test_count_tables_are_power_series():
     # r_2 r_2 = r_4 with no re-wrapping: a table passes straight to multiply.
     assert multiply(r_oracle(2, 200), r_oracle(2, 200)).coeffs == r_oracle(4, 200).values
@@ -147,16 +158,18 @@ def test_count_tables_are_power_series():
 
 def test_oracles_power_by_squaring(monkeypatch):
     # The k-th power takes one squaring per bit below the top and one more
-    # multiply per further set bit: r_8 takes 3, r_7 takes 4.
+    # multiply per further set bit: r_8 takes 3, r_7 takes 4.  Each squaring
+    # passes one series twice, so multiply packs it once and squares the int.
     import qconvolve.counts as counts
 
     calls = []
-    monkeypatch.setattr(counts, "multiply", lambda a, b: calls.append(len(a)) or multiply(a, b))
+    monkeypatch.setattr(counts, "multiply", lambda a, b: calls.append(a is b) or multiply(a, b))
     base = power = PowerSeries(tuple(square_base(80)))
     for k in range(1, 9):
         calls.clear()
         assert r_oracle(k, 80).values == power.coeffs
         assert len(calls) == k.bit_length() + k.bit_count() - 2
+        assert calls.count(True) == k.bit_length() - 1
         power = multiply(power, base)
 
 

@@ -319,9 +319,9 @@ def test_expand_runs_exactly_its_plan(monkeypatch):
         calls.append((shifts[0][0], scale))
         return over_eta(out, shifts, scale)
 
-    def spied_recursion(weights, coeffs):
-        calls.append((weights, len(coeffs)))
-        return recursion(weights, coeffs)
+    def spied_recursion(weights, coeffs, g):
+        calls.append((weights, len(coeffs[::g])))
+        return recursion(weights, coeffs, g)
 
     monkeypatch.setattr(series, "_over_eta", spied_over_eta)
     monkeypatch.setattr(series, "_recursion", spied_recursion)
@@ -460,14 +460,15 @@ def test_expand_runs_the_recursion_in_x_to_the_g(text, g, scaled):
     ids=ProductSpec.to_text,
 )
 def test_expand_matches_oracle_across_recursion_blocks(spec):
-    # Orders 0..2*leaf+2 take one leaf, a leaf and a split, and two levels of
-    # splits; 300 and 1000 take several levels.  Truncated products are
-    # prefix-exact, so one oracle expansion serves every order.  Series-1
-    # runs its (x^8;x^8)^3 through the recursion in x^8 and then divides by
-    # phi(-x) and phi(-x^4).
+    # Orders 0..2*leaf+2 take one, two and then four leaves: the leaf count
+    # doubles at orders 64 and 128, and again to eight at 256, which 255..257
+    # straddle; 300 and 1000 take several levels of block products.
+    # Truncated products are prefix-exact, so one oracle expansion serves
+    # every order.  Series-1 runs its (x^8;x^8)^3 through the recursion in
+    # x^8 and then divides by phi(-x) and phi(-x^4).
     leaf = series._LEAF
     oracle = oracle_expand(spec, 1000)
-    for order in (*range(2 * leaf + 3), 300, 1000):
+    for order in (*range(2 * leaf + 3), 255, 256, 257, 300, 1000):
         assert expand(spec, order).coeffs == oracle.coeffs[: order + 1]
 
 
@@ -587,28 +588,61 @@ def operands(draw, top):
     return [draw(st.sampled_from([top, -top]))] * size
 
 
+TOPS = st.integers(0, 2**200) | st.sampled_from([1, 8, 2**7, 2**64 - 1, 2**200])
+
+
 @st.composite
 def operand_pairs(draw):
-    top = draw(st.integers(0, 2**200) | st.sampled_from([1, 8, 2**7, 2**64 - 1, 2**200]))
+    top = draw(TOPS)
     return draw(operands(top)), draw(operands(top))
+
+
+SLOT_EDGES = (
+    # 8 * 8 * 2 = 2^7: the bound itself needs a second byte.
+    ([8, 8], [8, 8]),
+    ([-8, -8], [8, 8]),
+    ([5], [-3]),
+    ([0] * 41, [2**200] * 41),
+    # An operand, not the product, at the slot edge: c + half nears 0 or 2 * half.
+    ([127], [1]),
+    ([-127], [1]),
+    ([2**64 - 1], [-1]),
+    ([-(2**200)], [1, 1]),
+)
+
+
+def slot_edge_examples(cases):
+    """Add an @example for each case that cases(pair) lists, over SLOT_EDGES."""
+
+    def decorate(test):
+        for pair in SLOT_EDGES:
+            for case in cases(pair):
+                test = example(case)(test)
+        return test
+
+    return decorate
 
 
 @settings(max_examples=200, deadline=None)
 @given(operand_pairs())
-# 8 * 8 * 2 = 2^7: the bound itself needs a second byte.
-@example(([8, 8], [8, 8]))
-@example(([-8, -8], [8, 8]))
-@example(([5], [-3]))
-@example(([0] * 41, [2**200] * 41))
-# An operand, not the product, at the slot edge: c + half nears 0 or 2 * half.
-@example(([127], [1]))
-@example(([-127], [1]))
-@example(([2**64 - 1], [-1]))
-@example(([-(2**200)], [1, 1]))
+@slot_edge_examples(lambda pair: [pair])
 def test_multiply_matches_the_double_sum(pair):
     a, b = pair
     product = multiply(PowerSeries(tuple(a)), PowerSeries(tuple(b)))
     assert list(product) == naive_product(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TOPS.flatmap(operands))
+@slot_edge_examples(lambda pair: pair)
+def test_multiply_squares_like_two_operands(a):
+    # multiply(a, a) packs a once and multiplies that int by itself; a
+    # second series with the same coefficients is another object, so it
+    # packs both operands.
+    operand = PowerSeries(tuple(a))
+    square = multiply(operand, operand)
+    assert square == multiply(operand, PowerSeries(operand.coeffs))
+    assert list(square) == naive_product(a, a)
 
 
 def test_checked_div_raises_on_remainder():
