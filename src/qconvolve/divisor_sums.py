@@ -146,9 +146,12 @@ def sigma_combination(limit: int, terms) -> array:
     overwrite it block by block, top down: a block of _BLOCK sums reads its
     own entries, all before it writes them, and entries below it (n/m with
     m >= 2), which no block has written yet.  sigma(n/m) contributes only
-    when m divides n.  The package's term sets keep |sum| <= 48 sigma(n) <
-    2^59 below limit 2^50; a sum past 2^63 raises OverflowError.
+    when m divides n, and a modulus m < 1 raises ValueError.  The package's
+    term sets keep |sum| <= 48 sigma(n) < 2^59 below limit 2^50; a sum past
+    2^63 raises OverflowError.
     """
+    if (least := min((m for _, m in terms), default=1)) < 1:
+        raise ValueError(f"sigma_combination requires moduli m >= 1, got {least}")
     table = sigma_table(limit)
     for start in range(limit // _BLOCK * _BLOCK, -1, -_BLOCK):
         stop = min(start + _BLOCK, limit + 1)

@@ -30,7 +30,6 @@ from .errors import DivisibilityViolation, PreconditionNotMet, checked_div
 from .series import (
     Factor,
     FactorSet,
-    PowerSeries,
     ProductSpec,
     _Value,
     expand,
@@ -106,23 +105,15 @@ def _require_odd_prime(flags, p: int) -> None:
 # --- closed forms ---
 
 
-def kronecker_minus4(d: int) -> int:
-    """1 for d = 1 mod 4, -1 for d = 3 mod 4, 0 for even d."""
-    if d < 1:
-        raise ValueError(f"kronecker_minus4 requires d >= 1, got {d}")
-    r = d % 4
-    if r == 1:
-        return 1
-    if r == 3:
-        return -1
-    return 0
+# The character chi_-4(d) is _CHI4[d % 4] for the divisors d >= 1 read below.
+_CHI4 = (0, 1, 0, -1)
 
 
 def r2_closed(n: int) -> int:
-    """r_2(n) = 4 * sum of kronecker_minus4 over the divisors of n."""
+    """r_2(n) = 4 * sum of chi_-4(d) over the divisors d of n."""
     if n < 1:
         raise ValueError(f"r2_closed requires n >= 1, got {n}")
-    return 4 * sum(kronecker_minus4(d) for d in divisors(n))
+    return 4 * sum(_CHI4[d % 4] for d in divisors(n))
 
 
 def r4_closed(n: int) -> int:
@@ -141,10 +132,10 @@ def r8_closed(n: int) -> int:
 
 
 def t2_closed(n: int) -> int:
-    """t_2(n) = sum of kronecker_minus4 over the divisors of 4n + 1."""
+    """t_2(n) = sum of chi_-4(d) over the divisors d of 4n + 1."""
     if n < 0:
         raise ValueError(f"t2_closed requires n >= 0, got {n}")
-    return sum(kronecker_minus4(d) for d in divisors(4 * n + 1))
+    return sum(_CHI4[d % 4] for d in divisors(4 * n + 1))
 
 
 def t4_closed(n: int) -> int:
@@ -155,14 +146,14 @@ def t4_closed(n: int) -> int:
 
 
 def t6_closed(n: int) -> int:
-    """t_6(n) = -(1/8) * sum over divisors d of 4n + 3 of kronecker_minus4(d) d^2.
+    """t_6(n) = -(1/8) * sum over divisors d of 4n + 3 of chi_-4(d) d^2.
 
     The division by 8 is checked-exact; divisors of 4n + 3 are odd and pair
     off with opposite characters, so the sum is always divisible.
     """
     if n < 0:
         raise ValueError(f"t6_closed requires n >= 0, got {n}")
-    total = sum(kronecker_minus4(d) * d * d for d in divisors(4 * n + 3))
+    total = sum(_CHI4[d % 4] * d * d for d in divisors(4 * n + 3))
     return checked_div(-total, 8)
 
 
@@ -194,8 +185,8 @@ def _weighted_sums(values, weights, start: int = 1) -> tuple[int, ...]:
     tables get one trailing 0, so the sums reach n = len(tables), one past
     the last index either table holds.
     """
-    head = PowerSeries((0,) * start + tuple(values[start:]) + (0,))
-    return multiply(head, PowerSeries((*weights, 0))).coeffs
+    head = (0,) * start + tuple(values[start:]) + (0,)
+    return multiply(head, (*weights, 0)).coeffs
 
 
 # --- convolution identity ---
@@ -238,7 +229,7 @@ def _check_twin_r2(report, p, sums):
 def _prime_r2(primes, size: int, flags) -> VerificationReport:
     # The twin check at p reads sums and flags at p + 2, so size > max(primes).
     report = VerificationReport("prime-r2", primes)
-    sums = _weighted_sums(r_oracle(2, size).coeffs, sigma_combination(size, _SQUARES_TERMS))
+    sums = _weighted_sums(r_oracle(2, size), sigma_combination(size, _SQUARES_TERMS))
     for p in primes:
         report.expect(p, sums[p], p - 1 if p % 4 == 1 else -p - 1)
         if flags[p + 2]:
@@ -269,7 +260,7 @@ def _prime_r4_r8(primes, size: int) -> VerificationReport:
     # r_4 = r_2 r_2 and r_8 = r_4 r_4: three multiplies in all, none by expand.
     r2 = r_oracle(2, size)
     r4 = multiply(r2, r2)
-    sums = [_weighted_sums(r.coeffs, g) for r in (r2, r4, multiply(r4, r4))]
+    sums = [_weighted_sums(r, g) for r in (r2, r4, multiply(r4, r4))]
     for p in primes:
         s2, s4, s8 = (s[p] for s in sums)
         report.expect(p, s4, p * p - 1)
@@ -311,7 +302,7 @@ def _t_prime_sums(k: int, inputs, size: int) -> VerificationReport:
     identity, start, value = _T_PRIME_SUMS[k]
     report = VerificationReport(identity, inputs)
     h = sigma_combination(size, _TRIANGULAR_TERMS)
-    sums = _weighted_sums(t_oracle(k, size).coeffs, h, start)
+    sums = _weighted_sums(t_oracle(k, size), h, start)
     for n in inputs:
         report.expect(n, sums[n], value(n))
     return report

@@ -13,10 +13,10 @@ recurrence, with additions only, gathered once per run of live shifts;
 _plan picks the route and documents the rule, and expand runs it.  An
 independent oracle expands the same product by plain polynomial
 multiplication and division.  multiply, the one dense product of two
-series, packs each operand into a big int (Kronecker substitution) and
-multiplies once, a square by squaring one int; every slot holds its
-coefficient plus half the slot's range, both when packing and when
-unpacking.
+integer sequences, packs each operand into a big int (Kronecker
+substitution) and multiplies once, a square by squaring one int; every
+slot holds its coefficient plus half the slot's range, both when packing
+and when unpacking.
 """
 
 from __future__ import annotations
@@ -310,8 +310,7 @@ def _recursion(weights: list[int], coeffs: list[int], g: int) -> None:
         if m < leaves:
             k = m & -m
             low, top = bounds[m - k], bounds[m + k]
-            left = PowerSeries(tuple(coeffs[low * g : r * g : g]) + (0,) * (top - r))
-            block = multiply(left, PowerSeries(tuple(weights[: top - low])))
+            block = multiply(coeffs[low * g : r * g : g] + [0] * (top - r), weights[: top - low])
             sums[r:top] = map(add, sums[r:top], block.coeffs[r - low :])
 
 
@@ -423,27 +422,24 @@ def oracle_expand(spec: ProductSpec, order: int) -> PowerSeries:
     return PowerSeries(tuple(out))
 
 
-def multiply(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated to the smaller order.
+def multiply(a, b) -> PowerSeries:
+    """Cauchy product of two integer sequences, truncated to the shorter one.
 
-    Kronecker substitution: each operand is packed into one big int with a
-    slot of w bytes per coefficient, so a single big-int multiplication
-    (CPython's Karatsuba) forms every convolution sum at once.  Every
-    product coefficient c has |c| <= max|a| * max|b| * (order + 1) <
-    half = 2^(8w-1), and so does every operand coefficient.  So every slot
-    holds its coefficient plus half, both when packing and when unpacking,
-    and is nonnegative and carry-free: an operand packs as its slots minus
-    the bias, one half per slot, and the low order + 1 slots of the product
-    plus the bias are read back minus half.  When b is a, the one packed
-    int multiplies itself, which CPython's Karatsuba does as a squaring.
+    Kronecker substitution: each operand, a PowerSeries or a plain sequence,
+    is packed into one big int with a slot of w bytes per coefficient, so
+    one big-int multiplication (CPython's Karatsuba) forms every
+    convolution sum at once.  Every product coefficient c has
+    |c| <= max(max|a|, 1) * max(max|b|, 1) * size < half = 2^(8w-1), and
+    so does every operand coefficient.  So every slot holds its coefficient
+    plus half, both when packing and when unpacking, and is nonnegative
+    and carry-free: an operand packs as its slots minus the bias, one half
+    per slot, and the low size slots of the product plus the bias are read
+    back minus half.  When b is a, the one packed int multiplies itself,
+    which CPython's Karatsuba does as a squaring.
     """
-    order = min(a.order, b.order)
-    size = order + 1
-    first, second = a.coeffs[:size], b.coeffs[:size]
-    bound = max(map(abs, first)) * max(map(abs, second)) * size
-    if not bound:
-        # An all-zero operand; the other may not even fit a one-byte slot.
-        return PowerSeries((0,) * size)
+    size = min(len(a), len(b))
+    first, second = a[:size], b[:size]
+    bound = max(max(map(abs, first)), 1) * max(max(map(abs, second)), 1) * size
     width = bound.bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import importlib
 import inspect
 import io
 import json
 import os
 import subprocess
 import sys
+import tomllib
 import weakref
 from pathlib import Path
 
@@ -336,6 +338,16 @@ def test_usage_error_on_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_installed_command_resolves_to_main():
+    # pip builds the `qconvolve` command from [project.scripts]; a renamed
+    # entry point would break it while every in-process test passed.
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, name = scripts["qconvolve"].partition(":")
+    assert (module, name) == ("qconvolve.cli", "main")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 # --- every argv of a bounded grammar ends in one exit code and one document ---

@@ -225,6 +225,13 @@ def test_sigma_combination_raises_past_64_bits():
         sigma_combination(10, ((2**62, 1), (2**62, 1)))
 
 
+def test_sigma_combination_rejects_a_modulus_below_1():
+    # -2 once gave every other sum, from a backwards stride; 0 divided by zero.
+    for terms in ([(1, -2)], [(1, 0)], [(1, 1), (3, 0)]):
+        with pytest.raises(ValueError, match=str(terms[-1][1])):
+            sigma_combination(10, terms)
+
+
 def test_negative_arguments_rejected():
     for fn in (sigma, sigma_star):
         with pytest.raises(ValueError):

@@ -28,7 +28,6 @@ from qconvolve.identities import (
     MasterFamilyParams,
     VerificationReport,
     _prime_flags,
-    kronecker_minus4,
     master_family_spec,
     master_positivity_cases,
     r2_closed,
@@ -105,15 +104,6 @@ def test_sieve_matches_sympy():
     limit = 10**4
     flags = _prime_flags(limit)
     assert [n for n in range(limit) if flags[n]] == [n for n in range(limit) if sympy.isprime(n)]
-
-
-def test_kronecker_minus4():
-    assert kronecker_minus4(1) == 1
-    assert kronecker_minus4(3) == -1
-    assert kronecker_minus4(2) == 0
-    assert [kronecker_minus4(d) for d in range(1, 9)] == [1, 0, -1, 0, 1, 0, -1, 0]
-    with pytest.raises(ValueError):
-        kronecker_minus4(0)
 
 
 def test_closed_form_examples():

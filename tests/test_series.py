@@ -630,6 +630,7 @@ def test_multiply_matches_the_double_sum(pair):
     a, b = pair
     product = multiply(PowerSeries(tuple(a)), PowerSeries(tuple(b)))
     assert list(product) == naive_product(a, b)
+    assert multiply(a, b) == product
 
 
 @settings(max_examples=200, deadline=None)
@@ -643,6 +644,13 @@ def test_multiply_squares_like_two_operands(a):
     square = multiply(operand, operand)
     assert square == multiply(operand, PowerSeries(operand.coeffs))
     assert list(square) == naive_product(a, a)
+
+
+def test_multiply_rejects_an_empty_operand():
+    # A plain list, unlike a PowerSeries, can hold no coefficient at all.
+    for a, b in (([], [1, 2]), ([1, 2], []), ([], [])):
+        with pytest.raises(ValueError):
+            multiply(a, b)
 
 
 def test_checked_div_raises_on_remainder():
