@@ -1,13 +1,14 @@
-"""Batch command-line front end.
+"""Batch command-line front end, run as `python -m qconvolve` or `qconvolve`.
 
-Three subcommands: expand (product spec to coefficients), counts
-(representation-count tables), and verify (identity checks over ranges).
-Data goes to stdout, diagnostics to stderr.  Each command returns its exit
-code and its whole output document, and main writes the document only
-after the command has returned, so a run that fails leaves stdout empty.
-Exit codes: 0 success or verification passed, 1 verification failed, 2
-usage or parse or precondition error (or a request too large for memory or
-for an index), 3 internal divisibility violation.
+Three subcommands, each dispatched from tables built at import: expand
+(product spec to coefficients), counts (representation-count tables), and
+verify (identity checks over ranges).  A size (-N, --max, --count) below 0
+is a usage error.  Data goes to stdout, diagnostics to stderr.  Each command
+returns its exit code and its whole output document, and main writes the
+document only after the command has returned, so a run that fails leaves
+stdout empty.  Exit codes: 0 success or verification passed, 1 verification
+failed, 2 usage or parse or precondition error (or a request too large for
+memory or for an index), 3 internal divisibility violation.
 """
 
 from __future__ import annotations
@@ -20,23 +21,27 @@ from .errors import DivisibilityViolation
 from .identities import _CLOSED_FORMS, _REGISTRY
 from .series import ProductSpec, expand
 
-# Every identity's runner; its signature names its size flags and their defaults.
+# Size flags: runner keyword (the parsed argument's name) -> flag
+_SIZE_FLAGS = {"limit": "--max", "order": "-N", "count": "--count", "seed": "--seed"}
+
+
+def _size_keywords(code) -> tuple[str, ...]:
+    names = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+    return tuple(key for key in names if key in _SIZE_FLAGS)
+
+
+# Each identity's runner and the size keywords its signature names; defaults stay there.
 _RANGE_RUNNERS = {name: runner for name, runner, _ in _REGISTRY}
+_RANGE_SIZES = {name: _size_keywords(runner.__code__) for name, runner, _ in _REGISTRY}
 _SINGLE_INPUT = {name: verifier for name, _, verifier in _REGISTRY if verifier is not None}
 
 IDENTITIES = sorted(_RANGE_RUNNERS)
 
-# verify's size flags: runner keyword -> flag
-_SIZE_FLAGS = {"limit": "--max", "order": "-N", "count": "--count", "seed": "--seed"}
-
-
-def _parameters(runner) -> tuple[str, ...]:
-    """The runner's parameter names, read through functools.wraps wrappers
-    (their __wrapped__) as inspect.signature reads them."""
-    while hasattr(runner, "__wrapped__"):
-        runner = runner.__wrapped__
-    code = runner.__code__
-    return code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+# (method, kind) -> count table; kind u takes l before the order
+_COUNT_TABLES = {
+    ("recursive", "r"): r_table, ("recursive", "t"): t_table, ("recursive", "u"): u_table,
+    ("oracle", "r"): r_oracle, ("oracle", "t"): t_oracle, ("oracle", "u"): u_oracle,
+}
 
 
 def _values_document(values, fmt: str, meta: dict, key: str) -> str:
@@ -80,37 +85,31 @@ def _closed_table(kind: str, k: int, order: int) -> list[int]:
 
 def _cmd_counts(args) -> tuple[int, str]:
     kind, k, l, order = args.kind, args.k, args.l, args.order
-    if order < 0:
-        raise ValueError(f"-N must be >= 0, got {order}")
     if kind == "u":
         if l is None:
             raise ValueError("kind u requires --l")
     elif l is not None:
         raise ValueError(f"--l only applies to kind u, not {kind}")
     if args.method == "closed":
-        if kind == "u":
-            raise ValueError("no closed form for mixed counts")
         values = _closed_table(kind, k, order)
-    elif args.method == "oracle":
-        values = {"r": r_oracle, "t": t_oracle}[kind](k, order) if kind != "u" else u_oracle(k, l, order)
     else:
-        values = {"r": r_table, "t": t_table}[kind](k, order) if kind != "u" else u_table(k, l, order)
+        table = _COUNT_TABLES[args.method, kind]
+        values = table(k, l, order) if kind == "u" else table(k, order)
     meta = {"kind": kind, "k": k, "l": l, "N": order, "method": args.method}
     return 0, _values_document(values, args.format, meta, "values")
 
 
 def _cmd_verify(args) -> tuple[int, str]:
     name = args.identity
-    runner = _RANGE_RUNNERS.get(name)
-    if runner is None:
+    if name not in _RANGE_RUNNERS:
         raise ValueError(f"unknown identity {name!r}; choose from {', '.join(IDENTITIES)}")
     given = {key: getattr(args, key) for key in _SIZE_FLAGS if getattr(args, key) is not None}
-    inputs = () if args.input is None else (args.input,)
-    if inputs:
-        runner = _SINGLE_INPUT.get(name)
-        if runner is None:
-            raise ValueError(f"identity {name!r} takes a range, not --input")
-    accepted = _parameters(runner)
+    if args.input is None:
+        runner, inputs, accepted = _RANGE_RUNNERS[name], (), _RANGE_SIZES[name]
+    elif name in _SINGLE_INPUT:
+        runner, inputs, accepted = _SINGLE_INPUT[name], (args.input,), ()
+    else:
+        raise ValueError(f"identity {name!r} takes a range, not --input")
     extra = [flag for key, flag in _SIZE_FLAGS.items() if key in given and key not in accepted]
     if extra:
         takes = ", ".join(flag for key, flag in _SIZE_FLAGS.items() if key in accepted)
@@ -167,6 +166,10 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     too_large = None
     try:
+        # One size rule for every command, before dispatch; --seed may be negative.
+        for key, flag in _SIZE_FLAGS.items():
+            if key != "seed" and (getattr(args, key, None) or 0) < 0:
+                raise ValueError(f"{flag} must be >= 0, got {getattr(args, key)}")
         code, document = args.func(args)
     except DivisibilityViolation as exc:
         print(f"qconvolve: divisibility violation: {exc}", file=sys.stderr)
@@ -187,7 +190,3 @@ def main(argv=None) -> int:
     # The only write to stdout, after the whole document is built.
     sys.stdout.write(document)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

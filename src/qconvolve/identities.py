@@ -15,8 +15,8 @@ Failures are collected in reports rather than raised, so a full range can
 be surveyed in one pass; a report passes only if it checked an input and
 nothing failed.  One check, _check_positive, decides every positivity
 claim.  Each range and positivity verifier takes its size as a keyword
-(limit, order, count, seed) with the README default; the CLI reads both the
-flags an identity accepts and their defaults from these signatures.
+(limit, order, count, seed) with the README default; the CLI reads the
+flags an identity accepts from these signatures once, at import.
 """
 
 from __future__ import annotations
@@ -49,10 +49,10 @@ class Failure(_Value):
 class VerificationReport:
     """Per-input pass/fail record for one identity over the inputs it checks."""
 
-    def __init__(self, identity: str, inputs_checked: Sequence[int], failures: list[Failure] | None = None):
+    def __init__(self, identity: str, inputs_checked: Sequence[int]):
         self.identity = identity
         self.inputs_checked = inputs_checked
-        self.failures = [] if failures is None else failures
+        self.failures: list[Failure] = []
 
     @property
     def passed(self) -> bool:
@@ -516,7 +516,7 @@ def verify_oracle_equivalence(
 
 # One row per identity: (identity, range runner, single-input verifier or
 # None).  The CLI builds its dispatch from these rows, and reads each
-# runner's size flags and their defaults from its signature.
+# runner's size flags from its signature once, at import.
 _REGISTRY = (
     ("convolution", verify_convolution, None),
     ("prime-r2", verify_prime_r2_range, verify_prime_r2),

@@ -83,10 +83,6 @@ class PowerSeries(_Value):
             raise ValueError("a power series needs at least the constant coefficient")
         self._set(coeffs)
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
@@ -116,14 +112,9 @@ class FactorSet(_Value):
             )
         self._set(modulus, offset)
 
-    @property
-    def least(self) -> int:
-        """Smallest member, modulus - offset."""
-        return self.modulus - self.offset
-
     def elements(self, bound: int) -> range:
-        """Members up to bound, ascending."""
-        return range(self.least, bound + 1, self.modulus)
+        """Members up to bound, ascending from the least, modulus - offset."""
+        return range(self.modulus - self.offset, bound + 1, self.modulus)
 
 
 class Factor(_Value):

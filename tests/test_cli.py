@@ -138,7 +138,7 @@ def test_counts_rejects_closed_mixed(capsys):
         capsys, "counts", "--kind", "u", "--k", "1", "--l", "1", "-N", "4", "--method", "closed"
     )
     assert code == 2
-    assert "closed" in err
+    assert "no closed form for kind=u" in err
 
 
 def test_counts_rejects_unsupported_closed_k(capsys):
@@ -294,6 +294,16 @@ def test_verify_defaults_live_in_the_runner_signatures():
         bound.apply_defaults()
         sizes = {key: value for key, value in bound.arguments.items() if key in cli._SIZE_FLAGS}
         assert sizes == README_DEFAULTS[name], name
+        assert set(cli._RANGE_SIZES[name]) == set(README_DEFAULTS[name]), name
+
+
+def test_count_tables_map_each_method_and_kind_to_its_counts_function():
+    from qconvolve import counts
+
+    suffix = {"recursive": "table", "oracle": "oracle"}
+    assert set(cli._COUNT_TABLES) == {(method, kind) for method in suffix for kind in "rtu"}
+    for (method, kind), fn in cli._COUNT_TABLES.items():
+        assert fn is getattr(counts, f"{kind}_{suffix[method]}"), (method, kind)
 
 
 @pytest.mark.parametrize(
@@ -308,13 +318,18 @@ def test_verify_defaults_live_in_the_runner_signatures():
         ("verify", "--identity", "t6-prime", "--max", "-5"),
         ("verify", "--identity", "convolution", "--max", "-5"),
         ("verify", "--identity", "R-positive", "--max", "-5"),
+        ("verify", "--identity", "master-positivity", "-N", "-1"),
+        ("verify", "--identity", "series1-positivity", "-N", "-2"),
+        ("verify", "--identity", "oracle-equivalence", "--count", "-1"),
+        ("expand", "--spec", "2n^1,4n-2^2,2n-1^-2", "-N", "-3"),
     ],
 )
 def test_negative_size_is_usage_error(capsys, argv):
+    (flag,) = {"-N", "--max", "--count"} & set(argv)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("qconvolve: ") and ">= 0" in err
+    assert err == f"qconvolve: {flag} must be >= 0, got {argv[argv.index(flag) + 1]}\n"
 
 
 @pytest.mark.parametrize(
