@@ -2,13 +2,13 @@
 
 Three subcommands, each dispatched from tables built at import: expand
 (product spec to coefficients), counts (representation-count tables), and
-verify (identity checks over ranges).  A size (-N, --max, --count) below 0
-is a usage error.  Data goes to stdout, diagnostics to stderr.  Each command
-returns its exit code and its whole output document, and main writes the
-document only after the command has returned, so a run that fails leaves
-stdout empty.  Exit codes: 0 success or verification passed, 1 verification
-failed, 2 usage or parse or precondition error (or a request too large for
-memory or for an index), 3 internal divisibility violation.
+verify (identity checks over ranges).  -N, --max or --count below 0, or --k or
+--l below 1, is a usage error.  Data goes to stdout, diagnostics to stderr.
+Each command returns its exit code and its whole output document, and main
+writes the document only after the command has returned, so a run that fails
+leaves stdout empty.  Exit codes: 0 success or verification passed, 1
+verification failed, 2 usage or parse or precondition error (or a request too
+large for memory or for an index), 3 internal divisibility violation.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .series import ProductSpec, expand
 
 # Size flags: runner keyword (the parsed argument's name) -> flag
 _SIZE_FLAGS = {"limit": "--max", "order": "-N", "count": "--count", "seed": "--seed"}
+# The least value of each bounded flag, by the parsed argument's name; --seed has none.
+_LEAST = {"limit": 0, "order": 0, "count": 0, "k": 1, "l": 1}
 
 
 def _size_keywords(code) -> tuple[str, ...]:
@@ -166,10 +168,11 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     too_large = None
     try:
-        # One size rule for every command, before dispatch; --seed may be negative.
-        for key, flag in _SIZE_FLAGS.items():
-            if key != "seed" and (getattr(args, key, None) or 0) < 0:
-                raise ValueError(f"{flag} must be >= 0, got {getattr(args, key)}")
+        # One size rule for every command, before dispatch.
+        for key, least in _LEAST.items():
+            if (value := getattr(args, key, None)) is not None and value < least:
+                flag = _SIZE_FLAGS.get(key, f"--{key}")
+                raise ValueError(f"{flag} must be >= {least}, got {value}")
         code, document = args.func(args)
     except DivisibilityViolation as exc:
         print(f"qconvolve: divisibility violation: {exc}", file=sys.stderr)

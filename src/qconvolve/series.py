@@ -6,13 +6,12 @@ is the log-derivative recursion: n * p(n) is a convolution of earlier
 coefficients against weighted divisor sums, formed leaf by leaf with one
 block multiply after each leaf and divided by n checked-exact, in x^g
 when every element the recursion sees is a multiple of g.  In a spec whose
-coefficients grow, the route also divides out each pair
-(x^m;x^m)^-2 (x^2m;x^2m) = 1/phi(-x^m) by Gauss's square series and then
-each negative eta factor (x^m;x^m)^c left by Euler's pentagonal
-recurrence, with additions only, gathered once per run of live shifts;
-_plan picks the route and documents the rule, and expand runs it.  An
-independent oracle expands the same product by plain polynomial
-multiplication and division.  multiply, the one dense product of two
+coefficients grow, the route also divides out, at each modulus m, Jacobi
+triple products J(x^m; x^qm): first phi(-x^m) (q = 2), then (x^m;x^m)_inf
+(q = 3), each by its sparse series with additions only, gathered once per
+run of live shifts; _plan picks the route and documents the rule, and
+expand runs it.  An independent oracle expands the same product by plain
+polynomial multiplication and division.  multiply, the one dense product of two
 integer sequences, packs each operand into a big int (Kronecker
 substitution) and multiplies once, a square by squaring one int; every
 slot holds its coefficient plus half the slot's range, both when packing
@@ -209,42 +208,37 @@ def _weight_table(spec: ProductSpec, limit: int) -> list[int]:
     return table
 
 
-def _pentagonal(limit: int) -> list[tuple[int, int]]:
-    """Nonzero terms (g, sign) of (x;x)_inf at exponents 1..limit, ascending.
+def _theta(q: int, limit: int) -> list[tuple[int, int]]:
+    """Nonzero terms (d, c) of J(x; x^q) - 1 at exponents 1..limit, ascending.
 
-    Euler's pentagonal number theorem: (x;x)_inf = sum_k (-1)^k x^{k(3k-1)/2}
-    over all integers k, so the exponents are the generalized pentagonal
-    numbers and every coefficient is +-1.
+    Jacobi's triple product J(x; x^q) = sum_k (-1)^k x^(q k(k-1)/2 + k) over
+    all integers k; for k >= 1 term -k lies (q - 2) k above term k, below
+    term k + 1.  q = 3 is Euler's pentagonal (x;x)_inf, and q = 2 is Gauss's
+    phi(-x), whose terms for k and -k meet at k^2 with c = 2 (-1)^k.
     """
-    terms = []
+    terms: dict[int, int] = {}
     k = 1
-    while (g := k * (3 * k - 1) // 2) <= limit:
-        sign = -1 if k % 2 else 1
-        terms += [(e, sign) for e in (g, g + k) if e <= limit]
+    while (d := q * k * (k - 1) // 2 + k) <= limit:
+        for e in (d, d + (q - 2) * k):
+            if e <= limit:
+                terms[e] = terms.get(e, 0) + (-1) ** k
         k += 1
-    return terms
+    return list(terms.items())
 
 
-def _pentagonal_count(limit: int) -> int:
-    """len(_pentagonal(limit)), solving k(3k -+ 1)/2 <= limit for k >= 1."""
-    root = isqrt(1 + 24 * limit)
-    return (1 + root) // 6 + (root - 1) // 6
+def _theta_count(q: int, limit: int) -> int:
+    """len(_theta(q, limit)): the k >= 1 with term k, and term -k unless q = 2, up to limit."""
+    root = isqrt((q - 2) ** 2 + 8 * q * limit)
+    plus, minus = (q - 2 + root) // (2 * q), (2 - q + root) // (2 * q)
+    return plus + minus if q != 2 else plus
 
 
-def _squares(limit: int) -> list[tuple[int, int]]:
-    """Nonzero terms (k^2, (-1)^k) of (phi(-x) - 1) / 2 at exponents 1..limit.
+def _over_eta(out: list[int], shifts: list[tuple[int, int]]) -> None:
+    """Divide out, in place, by 1 + sum c * x^d over the shifts (d, c).
 
-    Gauss: phi(-x) = (x;x)_inf^2 / (x^2;x^2)_inf = 1 + 2 sum_{k>=1} (-1)^k x^{k^2}.
-    """
-    return [(k * k, -1 if k % 2 else 1) for k in range(1, isqrt(limit) + 1)]
-
-
-def _over_eta(out: list[int], shifts: list[tuple[int, int]], scale: int) -> None:
-    """Divide out, in place, by 1 + scale * sum sign * x^d over the shifts (d, sign).
-
-    Scale 1 with the shifts of _pentagonal stretched by m is (x^m;x^m)_inf;
-    scale 2 with those of _squares is phi(-x^m).  The recurrence
-    p(n) = out[n] - scale * sum_d sign_d * p(n - d) uses no division.
+    The shifts of _theta(q, order // m) stretched by m are J(x^m; x^qm) - 1,
+    whose coefficients c share one size, scale, their gcd.  The recurrence
+    p(n) = out[n] - sum_d c_d * p(n - d) uses no division.
     Between two consecutive shifts the same terms are live for every n, so
     each such run builds one itemgetter that gathers them and one sum forms
     each p(n) at C speed.  done holds a 0 sentinel and then each p(n)
@@ -252,14 +246,16 @@ def _over_eta(out: list[int], shifts: list[tuple[int, int]], scale: int) -> None
     done[1 - 2d] is -p(n - d), so one gather serves both signs.  Every
     gather also reads the sentinel, index 0, so it returns a tuple and adds 0.
     """
+    # gcd() of no shifts is 0, and then no term is ever live.
+    scale = gcd(*[c for _, c in shifts])
     bounds = [d for d, _ in shifts] + [len(out)]
     done = [0]
     # Before the first shift no term is live.
     for value in out[: bounds[0]]:
         done += (value, -value)
     live = [0]
-    for (d, sign), stop in zip(shifts, bounds[1:]):
-        live.append(1 - 2 * d if sign > 0 else -2 * d)
+    for (d, c), stop in zip(shifts, bounds[1:]):
+        live.append(1 - 2 * d if c > 0 else -2 * d)
         take = itemgetter(*live)
         for value in out[d:stop]:
             value = scale * sum(take(done)) + value
@@ -308,14 +304,13 @@ def _recursion(weights: list[int], coeffs: list[int], g: int) -> None:
 def _plan(spec: ProductSpec, order: int) -> tuple[list[tuple[int, int, int]], ProductSpec | None, int]:
     """The route expand runs, (divisions, scaled, g), at no cost in the order.
 
-    Factors take one of three exact paths, chosen from the spec and the
+    Factors take one of two exact paths, chosen from the spec and the
     order alone.  The log-derivative recursion, _recursion, serves any
-    factor in O(M(N) log N) for an M(N) product of size N.  An eta factor
-    (x^m;x^m)^c with c < 0 can instead be divided out |c| times by Euler's
-    pentagonal recurrence, and a pair (x^m;x^m)^-2 (x^2m;x^2m) = 1/phi(-x^m)
-    by Gauss's phi(-q) = 1 + 2 sum_k (-1)^k q^{k^2}, both with additions
-    only.  divisions lists them as (m, scale, count) in running order,
-    scale 1 for (x^m;x^m)_inf and 2 for phi(-x^m).
+    factor in O(M(N) log N) for an M(N) product of size N.  A factor made of
+    Jacobi triple products J(x^m; x^qm) can instead be divided out by their
+    sparse series, _theta, with additions only: q = 3 is the eta factor
+    (x^m;x^m)_inf and q = 2 the pair (x^m;x^m)^2 / (x^2m;x^2m) = phi(-x^m).
+    divisions lists them as (m, q, count) in running order.
 
     The recursion's cost tracks the size of the output's coefficients, the
     divisions' the size of their intermediates, which can be far larger
@@ -323,20 +318,18 @@ def _plan(spec: ProductSpec, order: int) -> tuple[list[tuple[int, int, int]], Pr
     So the whole spec picks: the output's coefficients grow like
     exp(C sqrt(n)) exactly when sum_f c_f / m_f < 0 over all factors
     (Meinardus), computed here in exact integers.  Only then do divisions
-    run, and each kind only within its cost cap, count times terms at most
-    the order.  First, walking the offset-0 moduli m up, wherever
-    c_m < 0 < c_2m the spec takes j = min(floor(-c_m / 2), c_2m) divisions
-    by phi(-x^m), if phi(-x^m) has a term up to the order and
-    j * isqrt(order // m) fits the cap; c_m rises by 2j and c_2m falls by j.
-    Series-1, (1-x^n)^-4 (1-x^2n)^2 (1-x^4n)^-2 (1-x^8n)^4, is
-    (psi(x^4) / phi(-x))^2 and leaves only (x^8;x^8)^3.  Then each eta
-    factor left with c < 0 takes the pentagonal path if
-    |c| * _pentagonal_count(order // m) fits.  Every other factor goes to
-    the recursion: eta factors with c > 0, all factors of a spec with the
-    sum >= 0 (r_k, t_k, u_{k,l}: polynomial-size outputs), and eta factors
-    whose |c| is too large.  Every element of the factors left is a
-    multiple of g, the gcd of their moduli and offsets, so scaled, their
-    spec in y = x^g, runs to order // g (None, with g = 1, if none is left).
+    run, each within its cost cap, count times _theta_count(q, order // m)
+    at most the order.  Walking the offset-0 moduli m up, at each m the spec
+    first takes the most divisions by phi(-x^m) that its exponents hold,
+    j = min(floor(-c_m / 2), c_2m), so c_m rises by 2j and c_2m falls by j;
+    then -c_m divisions by (x^m;x^m)_inf if c_m < 0.  Series-1,
+    (1-x^n)^-4 (1-x^2n)^2 (1-x^4n)^-2 (1-x^8n)^4, is (psi(x^4) / phi(-x))^2
+    and leaves only (x^8;x^8)^3.  Every other factor goes to the recursion:
+    eta factors with c > 0, all factors of a spec with the sum >= 0 (r_k,
+    t_k, u_{k,l}: polynomial-size outputs), and divisions too many for the
+    cap.  Every element of the factors left is a multiple of g, the gcd of
+    their moduli and offsets, so scaled, their spec in y = x^g, runs to
+    order // g (None, with g = 1, if none is left).
     """
     # sum c/m < 0, scaled by the moduli's lcm so it stays in integers.
     common = lcm(*(f.index_set.modulus for f in spec.factors))
@@ -345,21 +338,17 @@ def _plan(spec: ProductSpec, order: int) -> tuple[list[tuple[int, int, int]], Pr
     divisions = []
     if grows:
         for m in sorted(m for m, i in exponents if i == 0):
+            # A divisor with no term up to the order is 1 here and fails its
+            # test: the recursion skips it at no cost, not in 10^30 empty passes.
             j = min(-exponents[m, 0] // 2, exponents.get((2 * m, 0), 0))
-            # Positive only if j > 0 and phi(-x^m) has a term up to the order.
-            if 0 < j * isqrt(order // m) <= order:
+            if 0 < j * _theta_count(2, order // m) <= order:
                 divisions.append((m, 2, j))
                 exponents[m, 0] += 2 * j
                 exponents[2 * m, 0] -= j
-    rest = []
-    for (m, i), c in exponents.items():
-        terms = _pentagonal_count(order // m) if grows and i == 0 and c < 0 else 0
-        # With no term up to the order the factor is 1 here; the recursion
-        # skips it at no cost, where |c| empty passes could be 10^30.
-        if terms and -c * terms <= order:
-            divisions.append((m, 1, -c))
-        elif c:
-            rest.append((m, i, c))
+            if 0 < -exponents[m, 0] * _theta_count(3, order // m) <= order:
+                divisions.append((m, 3, -exponents[m, 0]))
+                exponents[m, 0] = 0
+    rest = [(m, i, c) for (m, i), c in exponents.items() if c]
     if not rest:
         return divisions, None, 1
     g = gcd(*(n for m, i, _ in rest for n in (m, i)))
@@ -372,7 +361,7 @@ def expand(spec: ProductSpec, order: int) -> PowerSeries:
     _plan picks the route; expand runs the recursion, its result filling
     every g-th coefficient, and then each division.  A failed division
     raises DivisibilityViolation (an internal bug signal: integer exponents
-    always divide exactly); the pentagonal and phi divisions perform none.
+    always divide exactly); the divisions by J(x^m; x^qm) perform none.
     """
     if order < 0:
         raise ValueError(f"expand requires order >= 0, got {order}")
@@ -381,10 +370,10 @@ def expand(spec: ProductSpec, order: int) -> PowerSeries:
     divisions, scaled, g = _plan(spec, order)
     if scaled is not None:
         _recursion(_weight_table(scaled, order // g), coeffs, g)
-    for m, scale, count in divisions:
-        shifts = [(m * d, sign) for d, sign in (_squares if scale == 2 else _pentagonal)(order // m)]
+    for m, q, count in divisions:
+        shifts = [(m * d, c) for d, c in _theta(q, order // m)]
         for _ in range(count):
-            _over_eta(coeffs, shifts, scale)
+            _over_eta(coeffs, shifts)
     return PowerSeries(tuple(coeffs))
 
 

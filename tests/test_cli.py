@@ -333,6 +333,30 @@ def test_negative_size_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, bad",
+    [
+        *(
+            (("counts", "--kind", kind, "--k", "0", *(("--l", "2") if kind == "u" else ()), "-N", "5",
+              "--method", method), "--k 0")
+            for kind in "rtu"
+            for method in ("recursive", "oracle", "closed")
+        ),
+        (("counts", "--kind", "u", "--k", "2", "--l", "0", "-N", "5"), "--l 0"),
+        (("counts", "--kind", "u", "--k", "2", "--l", "0", "-N", "5", "--method", "oracle"), "--l 0"),
+        (("counts", "--kind", "t", "--k", "-3", "-N", "5"), "--k -3"),
+    ],
+)
+def test_count_index_below_one_is_usage_error(capsys, argv, bad):
+    # Named after the flag for every method, not after the library
+    # function (r_table, u_oracle, ...) whose own guard would reject it.
+    flag, value = bad.split()
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"qconvolve: {flag} must be >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize(
     "argv, span",
     [
         (("--identity", "prime-r2", "--max", "2"), "--max 2"),

@@ -6,7 +6,6 @@ import copy
 import gc
 import pickle
 import weakref
-from bisect import bisect_right
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import isqrt
@@ -251,27 +250,36 @@ def test_expand_matches_oracle_at_larger_order():
     assert expand(SERIES1, 800) == oracle_expand(SERIES1, 800)
 
 
+@pytest.mark.parametrize("q, text", [(3, "1n^1"), (2, "1n^2,2n^-1")])
+def test_theta_terms_are_the_oracle_expansion(q, text):
+    # J(x; x^3) = (x;x)_inf and J(x; x^2) = phi(-x) = (x;x)^2 / (x^2;x^2),
+    # expanded by the oracle: _theta lists exactly the nonzero coefficients
+    # 1..400, so the phi terms for k and -k are one term with c = +-2.
+    oracle = oracle_expand(ProductSpec.parse(text), 400)
+    assert series._theta(q, 400) == [(d, c) for d, c in enumerate(oracle) if d and c]
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_expand_routes_eta_factors_by_cost(sign):
     # Only specs whose coefficients grow, sum c/m < 0, divide.  There, walking
     # the moduli up, each pair c_m < 0 < c_2m first takes
-    # j = min(floor(-c_m / 2), c_2m) divisions by phi(-x^m) (scale 2), if
+    # j = min(floor(-c_m / 2), c_2m) divisions by phi(-x^m) (q = 2), if
     # j * isqrt(order // m) <= order; phi(-x) has 20 nonzero terms at
     # exponents 1..400, so j = 20 fits and j = 21 does not.  The negative eta
-    # exponents left take the pentagonal rule (scale 1): (x;x)_inf, with 32
+    # exponents left take the pentagonal rule (q = 3): (x;x)_inf, with 32
     # nonzero terms at exponents 1..400, costs 384 <= 400 steps at |c| = 12
     # and takes that path, while |c| = 13 costs 416 and goes to the
     # recursion.  Series-1 = (psi(x^4) / phi(-x))^2, and phi(-x^4) has 10
     # terms up to 400.  Positive eta factors that pair with no negative one
     # (sign 1), and every factor of a spec with sum c/m >= 0, go to the
     # recursion, however cheap.  All agree with an oracle.
-    assert len(series._pentagonal(400)) == 32
-    assert len(series._squares(400)) == 20
-    assert len(series._squares(100)) == 10
+    assert len(series._theta(3, 400)) == 32
+    assert len(series._theta(2, 400)) == 20
+    assert len(series._theta(2, 100)) == 10
     parse = ProductSpec.parse
     if sign < 0:
         cases = (
-            ("1n^-12", [(1, 1, 12)], None, 1),
+            ("1n^-12", [(1, 3, 12)], None, 1),
             ("1n^-13", [], parse("1n^-13"), 1),
             (SERIES1.to_text(), [(1, 2, 2), (4, 2, 1)], parse("1n^3"), 8),
             ("1n^-40,2n^20", [(1, 2, 20)], None, 1),
@@ -279,7 +287,7 @@ def test_expand_routes_eta_factors_by_cost(sign):
         )
     else:
         cases = (
-            ("1n^-13,2n^12", [(1, 2, 6), (1, 1, 1)], parse("1n^6"), 2),
+            ("1n^-13,2n^12", [(1, 2, 6), (1, 3, 1)], parse("1n^6"), 2),
             ("1n^12", [], parse("1n^12"), 1),
             ("2n^-12,1n^6", [], parse("2n^-12,1n^6"), 1),
         )
@@ -292,26 +300,27 @@ def test_expand_routes_eta_factors_by_cost(sign):
 
 
 def test_plan_costs_nothing_at_a_huge_order():
-    # The pentagonal terms are counted in closed form, so a plan builds no
-    # list of the order's size.  At every limit below 20000 the count is the
-    # length of the list _pentagonal builds, its exponents at most the limit.
-    exponents = [e for e, _ in series._pentagonal(20000)]
-    for limit in range(20000):
-        assert series._pentagonal_count(limit) == bisect_right(exponents, limit)
+    # The theta terms are counted in closed form, so a plan builds no list
+    # of the order's size.  For both q, at every limit below 20000 the count
+    # is the length of the list _theta builds.
+    for q in (2, 3):
+        for limit in range(20000):
+            assert series._theta_count(q, limit) == len(series._theta(q, limit)), (q, limit)
     assert _plan(SERIES1, 2**64) == ([(1, 2, 2), (4, 2, 1)], ProductSpec.parse("1n^3"), 8)
-    assert _plan(ProductSpec.parse("1n^-1"), 2**64) == ([(1, 1, 1)], None, 1)
+    assert _plan(ProductSpec.parse("1n^-1"), 2**64) == ([(1, 3, 1)], None, 1)
 
 
 def test_expand_runs_exactly_its_plan(monkeypatch):
     # expand decides nothing: the recursion runs once, on the scaled spec to
     # order // g, exactly when a spec is left, and then each plan entry
-    # (m, scale, count) is count _over_eta calls whose first shift is m.
+    # (m, q, count) is count _over_eta calls whose shifts are the terms of
+    # J(x^m; x^qm) - 1 up to the order.
     calls = []
     over_eta, recursion = series._over_eta, series._recursion
 
-    def spied_over_eta(out, shifts, scale):
-        calls.append((shifts[0][0], scale))
-        return over_eta(out, shifts, scale)
+    def spied_over_eta(out, shifts):
+        calls.append(shifts)
+        return over_eta(out, shifts)
 
     def spied_recursion(weights, coeffs, g):
         calls.append((weights, len(coeffs[::g])))
@@ -326,18 +335,19 @@ def test_expand_runs_exactly_its_plan(monkeypatch):
             calls.clear()
             expand(spec, order)
             ran = [] if scaled is None else [(_weight_table(scaled, order // g), order // g + 1)]
-            ran += [(m, scale) for m, scale, count in divisions for _ in range(count)]
+            for m, q, count in divisions:
+                ran += [[(m * d, c) for d, c in series._theta(q, order // m)]] * count
             assert calls == ran, (spec, order)
 
 
-def over_eta_reference(out, shifts, scale):
+def over_eta_reference(out, shifts):
     """The recurrence in place, one coefficient and one shift at a time."""
     for n in range(1, len(out)):
         acc = out[n]
-        for d, sign in shifts:
+        for d, c in shifts:
             if d > n:
                 break
-            acc -= scale * sign * out[n - d]
+            acc -= c * out[n - d]
         out[n] = acc
 
 
@@ -345,28 +355,28 @@ def over_eta_reference(out, shifts, scale):
 def test_over_eta_matches_the_per_coefficient_loop(m):
     # Every order 0..130 puts the end of the list at d - 1, d and d + 1 for
     # each shift d below it, so every run boundary is crossed; 2000 runs long
-    # runs.  Both term lists run: pentagonal shifts at scale 1, square shifts
-    # at scale 2.  Coefficients are signed, some far past 2^64, and out[0] is
-    # not always 1.
+    # runs.  Both term lists run: pentagonal shifts (q = 3, c = +-1) and
+    # square shifts (q = 2, c = +-2); below m neither has a shift.
+    # Coefficients are signed, some far past 2^64, and out[0] is not always 1.
     rng = Random(m)
-    for terms, scale in ((series._pentagonal, 1), (series._squares, 2)):
+    for q in (3, 2):
         for order in (*range(131), 2000):
-            shifts = [(m * g, sign) for g, sign in terms(order // m)]
+            shifts = [(m * g, c) for g, c in series._theta(q, order // m)]
             bits = rng.choice((3, 70, 400))
             out = [rng.randint(-(1 << bits), 1 << bits) for _ in range(order + 1)]
             if rng.random() < 0.5:
                 out[0] = 1
             expected = list(out)
-            over_eta_reference(expected, shifts, scale)
-            assert series._over_eta(out, shifts, scale) is None
-            assert out == expected, (m, order, scale)
+            over_eta_reference(expected, shifts)
+            assert series._over_eta(out, shifts) is None
+            assert out == expected, (m, order, q)
 
 
 @pytest.mark.parametrize(
     "text, firsts",
     [
         (SERIES1.to_text(), {(1, 2, 2): 2, (4, 2, 1): 4}),
-        ("1n^-3,5n-1^3,5n-2^3", {(1, 1, 3): 18}),
+        ("1n^-3,5n-1^3,5n-2^3", {(1, 3, 3): 18}),
     ],
 )
 def test_expand_matches_oracle_where_each_division_starts(text, firsts):
@@ -376,7 +386,7 @@ def test_expand_matches_oracle_where_each_division_starts(text, firsts):
     # once from order 4, its first shift; the master member divides by
     # (x;x)^3 from 18, where 3 * T(18) = 18.  Just below, at and just above
     # each, expand must equal the oracle, and the plan holds the entry
-    # (m, scale, count) exactly from its first order.
+    # (m, q, count) exactly from its first order.
     spec = ProductSpec.parse(text)
     oracle = oracle_expand(spec, max(firsts.values()) + 1)
     for entry, first in firsts.items():
